@@ -2,10 +2,10 @@
  * @file
  * Overload behavior of the admission-controlled serving path.
  *
- * An open-loop arrival process drives the TuningService's admitted
- * request path at several offered-load multiples of its measured
- * capacity (up to well past 2x). At each level the harness records what
- * graceful degradation actually delivers:
+ * An open-loop arrival process drives TuningService::submit() under a
+ * bounded admission policy at several offered-load multiples of its
+ * measured capacity (up to well past 2x). At each level the harness
+ * records what graceful degradation actually delivers:
  *
  *  - p50/p99 wall latency of the requests that were served,
  *  - the shed rate (refused immediately with a structured reason),
@@ -153,7 +153,7 @@ main(int argc, char **argv)
             1.0 / (capacity_rps * mult); // open loop: fixed spacing
         const double deadline = deadline_factor * service_seconds;
 
-        std::vector<std::future<AdmittedReport>> futures;
+        std::vector<std::future<ServedReport>> futures;
         std::vector<double> submitted_at;
         const double start = nowSeconds();
         for (int i = 0; i < requests; ++i) {
@@ -165,7 +165,7 @@ main(int argc, char **argv)
             // A rotating shape mix keeps the LRU from absorbing the load.
             Tensor out = overloadGemm(64 + 32 * (i % 4));
             submitted_at.push_back(nowSeconds());
-            futures.push_back(service.submitAdmitted(
+            futures.push_back(service.submit(
                 out, target, options,
                 {i % 4 == 0 ? RequestPriority::Interactive
                             : RequestPriority::Batch,
@@ -178,7 +178,7 @@ main(int argc, char **argv)
         level.requests = requests;
         std::vector<double> served_ms;
         for (int i = 0; i < requests; ++i) {
-            AdmittedReport report = futures[static_cast<size_t>(i)].get();
+            ServedReport report = futures[static_cast<size_t>(i)].get();
             const double latency_ms =
                 (nowSeconds() - submitted_at[static_cast<size_t>(i)]) *
                 1e3;

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "support/hash.h"
 #include "support/logging.h"
 
 namespace ft {
@@ -213,20 +214,9 @@ ComputeDag::spec() const
 }
 
 uint64_t
-fnv1a64(const std::string &s)
-{
-    uint64_t h = 1469598103934665603ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 1099511628211ULL;
-    }
-    return h;
-}
-
-uint64_t
 ComputeDag::fingerprint() const
 {
-    return fnv1a64(spec());
+    return Fnv1a64().bytes(spec()).value();
 }
 
 ComputeDag

@@ -1,5 +1,6 @@
 #include "schedule/serialize.h"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -130,15 +131,22 @@ tuningKeyFor(const Operation &anchor, const std::string &device)
 {
     FT_ASSERT(!anchor->isPlaceholder(), "tuning key of placeholder");
     const auto *c = static_cast<const ComputeOp *>(anchor.get());
-    std::ostringstream oss;
-    oss << anchor->name() << ":";
+    // Built by appending: every service request computes this key.
+    std::string key = anchor->name();
+    auto extent = [&key](int64_t v) {
+        char buf[24];
+        key.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+        key += ',';
+    };
+    key += ':';
     for (const auto &iv : c->axis())
-        oss << iv->extent << ",";
-    oss << "r:";
+        extent(iv->extent);
+    key += "r:";
     for (const auto &iv : c->reduceAxis())
-        oss << iv->extent << ",";
-    oss << "@" << device;
-    return oss.str();
+        extent(iv->extent);
+    key += '@';
+    key += device;
+    return key;
 }
 
 std::string

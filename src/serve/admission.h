@@ -84,14 +84,18 @@ struct AdmissionDecision
     bool admitted() const { return outcome == AdmissionOutcome::Admitted; }
 };
 
-/** Controller configuration. */
+/**
+ * Controller configuration. The defaults never refuse a request that
+ * has no deadline: the queue, brownout and breaker bounds sit at their
+ * maximum values, so bounded policies are always set explicitly.
+ */
 struct AdmissionOptions
 {
     /** Admitted-but-incomplete requests allowed at once. */
-    size_t maxQueueDepth = 32;
+    size_t maxQueueDepth = std::numeric_limits<size_t>::max();
     /** Depth at or past which brownout mode begins (serve from caches
      *  only). Must be <= maxQueueDepth to ever trigger. */
-    size_t brownoutDepth = 24;
+    size_t brownoutDepth = std::numeric_limits<size_t>::max();
     /** Queue slots reserved for Interactive requests: Batch requests
      *  are shed once depth reaches maxQueueDepth - interactiveReserve. */
     size_t interactiveReserve = 4;
@@ -104,7 +108,7 @@ struct AdmissionOptions
     /** Pessimism multiplier on predicted cost for deadline checks. */
     double safetyFactor = 1.25;
     /** Consecutive failures of one op key that open its breaker. */
-    int breakerFailureThreshold = 3;
+    int breakerFailureThreshold = std::numeric_limits<int>::max();
     /** Seconds an open breaker rejects before allowing one probe. */
     double breakerCooldownSeconds = 30.0;
     /** Observability sinks (both optional, not owned). */

@@ -1,11 +1,11 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
-#include <sstream>
+#include <type_traits>
 
 #include "analysis/static_analyzer.h"
 #include "support/logging.h"
@@ -15,39 +15,171 @@ namespace ft {
 namespace {
 
 /**
- * FNV-1a request fingerprinting. Same constants as Point::key64(); the
- * collision-checked identity string behind each slot makes an unlucky
- * 64-bit collision a cache miss, never a wrong answer.
+ * Builds a request key: `|tag=value` fields appended to one string.
+ * Strings are length-prefixed and reals are written in shortest
+ * round-trip form, so two keys are equal exactly when every field is.
  */
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-void
-fnvU64(uint64_t &h, uint64_t v)
+class KeyWriter
 {
-    for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (b * 8)) & 0xffu;
-        h *= kFnvPrime;
+  public:
+    KeyWriter() { key_.reserve(256); }
+
+    template <typename T>
+    KeyWriter &put(const char *tag, const T &value)
+    {
+        key_ += '|';
+        key_ += tag;
+        key_ += '=';
+        if constexpr (std::is_convertible_v<T, std::string_view>) {
+            const std::string_view s = value;
+            number(s.size());
+            key_ += ':';
+            key_ += s;
+        } else if constexpr (std::is_same_v<T, bool>) {
+            key_ += value ? '1' : '0';
+        } else {
+            number(value);
+        }
+        return *this;
+    }
+
+    std::string take() { return std::move(key_); }
+
+  private:
+    template <typename N>
+    void number(N value)
+    {
+        char buf[32];
+        const auto res = std::to_chars(buf, buf + sizeof(buf), value);
+        key_.append(buf, res.ptr);
+    }
+
+    std::string key_;
+};
+
+/**
+ * The one field list behind every request key: each option that can
+ * change a returned report. Pointers stay out (pool, cache, obs sinks),
+ * except the cost model as an on/off bit; so does the checkpoint
+ * period, which never changes a result.
+ */
+void
+putSearchFields(KeyWriter &k, Method method, bool templateRestricted,
+                bool certify, const ExploreOptions &e)
+{
+    k.put("method", static_cast<int>(method))
+        .put("tmpl", templateRestricted)
+        .put("certify", certify)
+        .put("trials", e.trials)
+        .put("starts", e.startingPoints)
+        .put("warmup", e.warmupPoints)
+        .put("gamma", e.saGamma)
+        .put("eps", e.epsilon)
+        .put("qalpha", e.qAlpha)
+        .put("train", e.trainEvery)
+        .put("replay", e.replayBatch)
+        .put("hidden", e.hidden)
+        .put("seed", e.seed)
+        .put("target", e.targetGflops)
+        .put("step", e.stepOverheadSeconds)
+        .put("par", e.measureParallelism)
+        .put("deadline", e.deadlineSimSeconds)
+        .put("ckpt", e.checkpointPath)
+        .put("cm", e.costModel != nullptr)
+        .put("prune", e.prunerKeep)
+        .put("seeds", e.seedPoints.size());
+    for (const Point &p : e.seedPoints)
+        k.put("pt", p.key());
+    // The fault profile and retry policy shape the result only when an
+    // injector is live; otherwise the policy layer is a no-op.
+    const ResilienceOptions &r = e.resilience;
+    if (r.injector && r.injector->profile().enabled()) {
+        k.put("faults", r.injector->profile().fingerprint())
+            .put("retries", r.maxRetries)
+            .put("backoff", r.backoffBaseSeconds)
+            .put("tdl", r.trialDeadlineSeconds)
+            .put("rep", r.repeats);
     }
 }
 
-void
-fnvStr(uint64_t &h, const std::string &s)
+std::string
+opRequestKey(const std::string &opKey, const TuneOptions &options)
 {
-    fnvU64(h, s.size());
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= kFnvPrime;
-    }
+    KeyWriter k;
+    k.put("op", opKey);
+    putSearchFields(k, options.method, options.templateRestricted,
+                    options.certify, options.explore);
+    return k.take();
 }
 
-void
-fnvReal(uint64_t &h, double v)
+std::string
+graphRequestKey(const graph::ComputeDag &dag, const Target &target,
+                const TuneOptions &options)
 {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    fnvU64(h, bits);
+    KeyWriter k;
+    k.put("dag", dag.spec()).put("device", target.deviceName());
+    putSearchFields(k, options.method, options.templateRestricted,
+                    options.certify, options.explore);
+    return k.take();
 }
+
+std::string
+familyRequestKey(const ShapeFamily &family, const Target &target,
+                 const FamilyTuneOptions &options)
+{
+    KeyWriter k;
+    k.put("family", family.name)
+        .put("device", target.deviceName())
+        .put("lo", family.var.lo)
+        .put("hi", family.var.hi)
+        .put("bucketing", static_cast<int>(family.var.bucketing))
+        .put("width", family.var.bucketWidth)
+        .put("axis", family.dynamicAxis)
+        .put("samples", options.samplesPerBucket)
+        .put("pow2", options.space.pow2Splits)
+        .put("ru", options.space.exploreReorderUnroll)
+        .put("ca", options.space.exploreCacheAt);
+    putSearchFields(k, options.method, options.space.templateRestricted,
+                    options.certify, options.explore);
+    return k.take();
+}
+
+/** The (family, device) slot of a published dispatch table. */
+std::string
+dispatchSlot(const std::string &familyName, const std::string &device)
+{
+    return familyName + "@" + device;
+}
+
+/** Fill `out` from the bucket entry serving `shape`, its dynamic split
+ *  re-fit to the shape. */
+void
+answerFromEntry(const DispatchEntry &entry, const ShapeFamily &family,
+                int64_t shape, FamilyServeResult &out)
+{
+    out.config = entry.config;
+    adaptSplitToExtent(out.config, family.dynamicAxis, shape);
+    out.gflops = entry.gflops;
+    out.bucket = {entry.lo, entry.hi};
+}
+
+/**
+ * Completes an admission ticket exactly once, on every exit path; an
+ * exception counts as a failure for the op's circuit breaker.
+ */
+struct TicketScope
+{
+    AdmissionController &admission;
+    const std::string &opKey;
+    uint64_t ticket;
+    const std::function<double()> &clock;
+    bool success = false;
+
+    ~TicketScope() { admission.onComplete(opKey, ticket, clock(), success); }
+};
+
+constexpr const char *kRunFailed =
+    "code=FT-ADM-RUN-FAILED why=\"tuning run produced no valid schedule\"";
 
 } // namespace
 
@@ -98,268 +230,120 @@ TuningService::TuningService(const ServiceOptions &options)
         reloadDispatchTables();
 }
 
-uint64_t
-TuningService::requestFingerprint(const Operation &anchor,
-                                  const Target &target,
-                                  const TuneOptions &options)
+void
+TuningService::attachServiceState(ExploreOptions &explore)
 {
-    FT_ASSERT(!anchor->isPlaceholder(), "request fingerprint of placeholder");
-    const auto *c = static_cast<const ComputeOp *>(anchor.get());
-    const ExploreOptions &e = options.explore;
-    uint64_t h = kFnvOffset;
-    // Operator + shape + device: the tuningKeyFor() fields, hashed from
-    // the raw values instead of an assembled string.
-    fnvStr(h, anchor->name());
-    fnvU64(h, c->axis().size());
-    for (const auto &iv : c->axis())
-        fnvU64(h, static_cast<uint64_t>(iv->extent));
-    fnvU64(h, c->reduceAxis().size());
-    for (const auto &iv : c->reduceAxis())
-        fnvU64(h, static_cast<uint64_t>(iv->extent));
-    fnvStr(h, target.deviceName());
-    // The options that shape the result.
-    fnvU64(h, static_cast<uint64_t>(options.method));
-    fnvU64(h, static_cast<uint64_t>(e.trials));
-    fnvU64(h, static_cast<uint64_t>(e.startingPoints));
-    fnvU64(h, static_cast<uint64_t>(e.warmupPoints));
-    fnvU64(h, e.seed);
-    fnvReal(h, e.targetGflops);
-    fnvU64(h, options.templateRestricted ? 1 : 0);
-    fnvReal(h, e.deadlineSimSeconds);
-    fnvStr(h, e.checkpointPath);
-    // A cost-model-guided run (warm-start and/or pruning) draws a
-    // different schedule than a model-off run with the same options, so
-    // neither the LRU nor coalescing may conflate the two.
-    fnvU64(h, e.costModel != nullptr ? 1 : 0);
-    fnvReal(h, e.prunerKeep);
-    fnvU64(h, e.seedPoints.size());
-    for (const Point &p : e.seedPoints)
-        fnvU64(h, p.key64());
-    const ResilienceOptions &r = e.resilience;
-    if (r.injector && r.injector->profile().enabled()) {
-        fnvStr(h, r.injector->profile().fingerprint());
-        fnvU64(h, static_cast<uint64_t>(r.maxRetries));
-        fnvReal(h, r.backoffBaseSeconds);
-        fnvReal(h, r.trialDeadlineSeconds);
-        fnvU64(h, static_cast<uint64_t>(r.repeats));
-    }
-    return h;
-}
-
-std::string
-TuningService::requestIdentity(const Operation &anchor, const Target &target,
-                               const TuneOptions &options)
-{
-    std::ostringstream oss;
-    const ExploreOptions &e = options.explore;
-    oss << tuningKeyFor(anchor, target.deviceName()) << "#"
-        << methodName(options.method)
-        << "|trials=" << e.trials
-        << "|starts=" << e.startingPoints
-        << "|warmup=" << e.warmupPoints
-        << "|seed=" << e.seed
-        << "|target=" << e.targetGflops
-        << "|tmpl=" << options.templateRestricted
-        << "|deadline=" << e.deadlineSimSeconds
-        << "|ckpt=" << e.checkpointPath
-        << "|cm=" << (e.costModel != nullptr)
-        << "|prune=" << e.prunerKeep;
-    if (!e.seedPoints.empty()) {
-        // Seeded starts steer the search, so two requests differing only
-        // in their seed points must not coalesce; the 64-bit point keys
-        // are a compact stand-in for the coordinate lists.
-        oss << "|seeds=" << std::hex;
-        for (const Point &p : e.seedPoints)
-            oss << p.key64() << ",";
-        oss << std::dec;
-    }
-    // The fault profile and retry policy shape the result; they are part
-    // of the request identity.
-    const ResilienceOptions &r = e.resilience;
-    if (r.injector && r.injector->profile().enabled()) {
-        oss << "|faults=" << r.injector->profile().fingerprint()
-            << "|retries=" << r.maxRetries
-            << "|backoff=" << r.backoffBaseSeconds
-            << "|tdl=" << r.trialDeadlineSeconds
-            << "|rep=" << r.repeats;
-    }
-    return oss.str();
-}
-
-uint64_t
-TuningService::familyFingerprint(const ShapeFamily &family,
-                                 const Target &target,
-                                 const FamilyTuneOptions &options)
-{
-    const ExploreOptions &e = options.explore;
-    uint64_t h = kFnvOffset;
-    fnvStr(h, family.name);
-    fnvU64(h, static_cast<uint64_t>(family.var.lo));
-    fnvU64(h, static_cast<uint64_t>(family.var.hi));
-    fnvU64(h, static_cast<uint64_t>(family.var.bucketing));
-    fnvU64(h, static_cast<uint64_t>(family.var.bucketWidth));
-    fnvU64(h, static_cast<uint64_t>(family.dynamicAxis));
-    fnvStr(h, target.deviceName());
-    fnvU64(h, static_cast<uint64_t>(options.method));
-    fnvU64(h, static_cast<uint64_t>(options.samplesPerBucket));
-    fnvU64(h, static_cast<uint64_t>(e.trials));
-    fnvU64(h, static_cast<uint64_t>(e.startingPoints));
-    fnvU64(h, static_cast<uint64_t>(e.warmupPoints));
-    fnvU64(h, e.seed);
-    fnvReal(h, e.targetGflops);
-    fnvReal(h, e.deadlineSimSeconds);
-    fnvU64(h, options.space.templateRestricted ? 1 : 0);
-    fnvU64(h, options.space.pow2Splits ? 1 : 0);
-    fnvU64(h, options.space.exploreReorderUnroll ? 1 : 0);
-    fnvU64(h, options.space.exploreCacheAt ? 1 : 0);
-    fnvU64(h, e.costModel != nullptr ? 1 : 0);
-    fnvReal(h, e.prunerKeep);
-    return h;
-}
-
-std::string
-TuningService::familyIdentity(const ShapeFamily &family, const Target &target,
-                              const FamilyTuneOptions &options)
-{
-    std::ostringstream oss;
-    const ExploreOptions &e = options.explore;
-    oss << family.name << "[" << family.var.lo << "," << family.var.hi
-        << ",b" << static_cast<int>(family.var.bucketing) << ","
-        << family.var.bucketWidth << ",ax" << family.dynamicAxis << "]@"
-        << target.deviceName() << "#" << methodName(options.method)
-        << "|k=" << options.samplesPerBucket
-        << "|trials=" << e.trials
-        << "|starts=" << e.startingPoints
-        << "|warmup=" << e.warmupPoints
-        << "|seed=" << e.seed
-        << "|target=" << e.targetGflops
-        << "|deadline=" << e.deadlineSimSeconds
-        << "|tmpl=" << options.space.templateRestricted
-        << "|pow2=" << options.space.pow2Splits
-        << "|ru=" << options.space.exploreReorderUnroll
-        << "|ca=" << options.space.exploreCacheAt
-        << "|cm=" << (e.costModel != nullptr)
-        << "|prune=" << e.prunerKeep;
-    return oss.str();
-}
-
-uint64_t
-TuningService::dispatchFingerprint(const std::string &familyName,
-                                   const std::string &device)
-{
-    uint64_t h = kFnvOffset;
-    fnvStr(h, familyName);
-    fnvStr(h, device);
-    return h;
-}
-
-std::string
-TuningService::dispatchIdentity(const std::string &familyName,
-                                const std::string &device)
-{
-    return familyName + "@" + device;
+    explore.evalPool = &evalPool_;
+    if (explore.measureParallelism == 0)
+        explore.measureParallelism = evalPool_.numThreads();
+    // A request without its own registry aggregates its exploration
+    // metrics into the service-wide one. Traces stay per-request: a
+    // shared timeline would interleave concurrent runs.
+    if (!explore.obs.metrics)
+        explore.obs.metrics = &metrics_;
+    if (costModel_ && !explore.costModel)
+        explore.costModel = costModel_.get();
 }
 
 const TuneReport *
-TuningService::lruGet(uint64_t key, const std::string &identity)
+TuningService::lruGet(const std::string &key)
 {
     auto it = lruIndex_.find(key);
     if (it == lruIndex_.end())
         return nullptr;
-    if (it->second->identity != identity)
-        return nullptr; // fingerprint collision: a miss, never a wrong hit
     lru_.splice(lru_.begin(), lru_, it->second);
-    return &lru_.front().report;
+    return &lru_.front().second;
 }
 
 void
-TuningService::lruPut(uint64_t key, const std::string &identity,
-                      const TuneReport &report)
+TuningService::lruPut(const std::string &key, const TuneReport &report)
 {
     auto it = lruIndex_.find(key);
     if (it != lruIndex_.end()) {
-        if (it->second->identity != identity)
-            return; // collision: leave the resident entry alone
         lru_.splice(lru_.begin(), lru_, it->second);
-        lru_.front().report = report;
+        lru_.front().second = report;
         return;
     }
-    lru_.emplace_front(CachedReport{key, identity, report});
-    lruIndex_[key] = lru_.begin();
+    lru_.emplace_front(key, report);
+    lruIndex_.emplace(lru_.front().first, lru_.begin());
     while (lru_.size() > options_.resultCacheCapacity) {
-        lruIndex_.erase(lru_.back().key);
+        lruIndex_.erase(lru_.back().first);
         lru_.pop_back();
     }
 }
 
-TuneReport
-TuningService::tuneAnchor(const Operation &anchor, const Target &target,
-                          TuneOptions options)
+AdmissionDecision
+TuningService::admitOp(const std::string &opKey, TuneOptions &options,
+                       const RequestOptions &request, ServedReport &out)
 {
-    // Inject the service's cost model before fingerprinting so the
-    // model-on bit is part of the request key.
-    if (costModel_ && !options.explore.costModel)
-        options.explore.costModel = costModel_.get();
-    const uint64_t key = requestFingerprint(anchor, target, options);
+    // Service state first: the cost-model bit is part of the request
+    // key, so a brownout lookup must see the same options a run would.
+    attachServiceState(options.explore);
+    const double now = options_.clock();
+    const AdmissionDecision decision = admission_->admit(
+        opKey, request.priority, now, now + request.deadlineSeconds);
+    out.outcome = decision.outcome;
+    out.reason = decision.reason;
+    if (decision.admitted()) {
+        propagateBudget(options.explore, decision.budgetSeconds);
+    } else if (decision.outcome == AdmissionOutcome::Brownout) {
+        // Degraded mode: only the LRU report cache may answer — never
+        // start fresh tuning work while saturated.
+        const std::string key = opRequestKey(opKey, options);
+        MutexLock lock(mu_);
+        if (const TuneReport *hit = lruGet(key)) {
+            resultCacheHits_.add();
+            brownoutServed_.add();
+            static_cast<TuneReport &>(out) = *hit;
+            out.fromCache = true;
+            out.degradedAnswer = true;
+            out.reason.clear();
+        }
+    }
+    return decision;
+}
+
+ServedReport
+TuningService::runWithTicket(const Operation &anchor, const Target &target,
+                             const std::string &opKey, uint64_t ticket,
+                             TuneOptions options)
+{
+    TicketScope done{*admission_, opKey, ticket, options_.clock};
+    ServedReport out;
+    static_cast<TuneReport &>(out) =
+        runOp(anchor, target, opKey, std::move(options));
+    done.success = out.gflops > 0.0;
+    if (!done.success) {
+        out.outcome = AdmissionOutcome::Shed;
+        out.reason = kRunFailed;
+    }
+    return out;
+}
+
+TuneReport
+TuningService::runOp(const Operation &anchor, const Target &target,
+                     const std::string &opKey, TuneOptions options)
+{
+    const std::string key = opRequestKey(opKey, options);
     requests_.add();
     metrics_.counter("service.method." + methodName(options.method)).add();
-    // The identity string is materialized only when a fingerprint slot
-    // is actually hit (collision check) or a run is registered — the
-    // pure-miss probe and the fingerprint itself never assemble strings.
-    std::string identity;
-    auto identityOf = [&]() -> const std::string & {
-        if (identity.empty())
-            identity = requestIdentity(anchor, target, options);
-        return identity;
-    };
-    std::promise<TuneReport> promise;
-    std::shared_future<TuneReport> shared;
-    bool owner = false;
-    bool registered = false;
+    InflightRuns<TuneReport>::Claim claim;
     {
         MutexLock lock(mu_);
-        if (lruIndex_.count(key)) {
-            if (const TuneReport *hit = lruGet(key, identityOf())) {
-                resultCacheHits_.add();
-                TuneReport report = *hit;
-                report.fromCache = true;
-                return report;
-            }
+        if (const TuneReport *hit = lruGet(key)) {
+            resultCacheHits_.add();
+            TuneReport report = *hit;
+            report.fromCache = true;
+            return report;
         }
-        auto it = inflight_.find(key);
-        if (it != inflight_.end() && it->second.identity == identityOf()) {
-            coalescedJoins_.add();
-            shared = it->second.future;
-        } else {
-            tuningRuns_.add();
-            owner = true;
-            shared = promise.get_future().share();
-            if (it == inflight_.end()) {
-                inflight_.emplace(key,
-                                  InflightRun{identityOf(), shared});
-                registered = true;
-            }
-            // else: fingerprint collision with a different in-flight
-            // request — run standalone without coalescing.
-        }
+        claim = inflight_.claim(key);
     }
-    if (!owner) {
-        // A joiner: the owner's in-flight run produces the report.
-        return shared.get();
-    }
+    (claim.owner ? tuningRuns_ : coalescedJoins_).add();
+    if (!claim.owner)
+        return claim.future.get();
 
-    // This thread owns the run: route measurement through the shared
-    // evaluation pool and the persistent cache through the tuner.
     if (options_.persistentCache && !options.cache)
         options.cache = options_.persistentCache;
-    options.explore.evalPool = &evalPool_;
-    if (options.explore.measureParallelism == 0)
-        options.explore.measureParallelism = evalPool_.numThreads();
-    // A request without its own registry aggregates its exploration
-    // metrics into the service-wide one. Traces stay per-request: a
-    // shared timeline would interleave concurrent runs.
-    if (!options.explore.obs.metrics)
-        options.explore.obs.metrics = &metrics_;
     TuneReport report = ft::tuneOp(anchor, target, options);
     evaluations_.add(static_cast<uint64_t>(report.trials));
     failures_.add(report.failures);
@@ -372,31 +356,59 @@ TuningService::tuneAnchor(const Operation &anchor, const Target &target,
         persistentCacheHits_.add();
     {
         MutexLock lock(mu_);
-        lruPut(key, identityOf(), report);
-        if (registered)
-            inflight_.erase(key);
+        lruPut(key, report);
+        inflight_.release(key);
     }
-    promise.set_value(report);
+    claim.promise.set_value(report);
     return report;
 }
 
-TuneReport
-TuningService::tune(const Tensor &output, const Target &target,
-                    TuneOptions options)
+ServedReport
+TuningService::tuneAnchor(const Operation &anchor, const Target &target,
+                          TuneOptions options, RequestOptions request)
 {
-    MiniGraph graph(output);
-    return tuneAnchor(anchorOp(graph), target, std::move(options));
+    const std::string opKey = tuningKeyFor(anchor, target.deviceName());
+    ServedReport out;
+    const AdmissionDecision decision =
+        admitOp(opKey, options, request, out);
+    if (!decision.admitted())
+        return out;
+    return runWithTicket(anchor, target, opKey, decision.ticket,
+                         std::move(options));
 }
 
-std::future<TuneReport>
-TuningService::submit(const Tensor &output, const Target &target,
-                      TuneOptions options)
+ServedReport
+TuningService::tune(const Tensor &output, const Target &target,
+                    TuneOptions options, RequestOptions request)
 {
-    auto task = std::make_shared<std::packaged_task<TuneReport()>>(
-        [this, output, target, options = std::move(options)]() mutable {
-            return tune(output, target, std::move(options));
+    MiniGraph graph(output);
+    return tuneAnchor(anchorOp(graph), target, std::move(options), request);
+}
+
+std::future<ServedReport>
+TuningService::submit(const Tensor &output, const Target &target,
+                      TuneOptions options, RequestOptions request)
+{
+    // The admission decision happens here, synchronously: a refused
+    // request never occupies a request-pool slot.
+    MiniGraph graph(output);
+    const Operation anchor = anchorOp(graph);
+    const std::string opKey = tuningKeyFor(anchor, target.deviceName());
+    ServedReport out;
+    const AdmissionDecision decision =
+        admitOp(opKey, options, request, out);
+    if (!decision.admitted()) {
+        std::promise<ServedReport> ready;
+        ready.set_value(std::move(out));
+        return ready.get_future();
+    }
+    auto task = std::make_shared<std::packaged_task<ServedReport()>>(
+        [this, anchor, target, opKey, ticket = decision.ticket,
+         options = std::move(options)]() mutable {
+            return runWithTicket(anchor, target, opKey, ticket,
+                                 std::move(options));
         });
-    std::future<TuneReport> future = task->get_future();
+    std::future<ServedReport> future = task->get_future();
     requestPool_.submit([task] { (*task)(); });
     return future;
 }
@@ -405,94 +417,29 @@ FamilyTuneReport
 TuningService::runFamily(const ShapeFamily &family, const Target &target,
                          FamilyTuneOptions options)
 {
-    const uint64_t key = familyFingerprint(family, target, options);
-    const std::string identity = familyIdentity(family, target, options);
-    std::promise<FamilyTuneReport> promise;
-    std::shared_future<FamilyTuneReport> shared;
-    bool owner = false;
-    bool registered = false;
-    {
-        MutexLock lock(mu_);
-        auto it = familyInflight_.find(key);
-        if (it != familyInflight_.end() && it->second.identity == identity) {
-            coalescedJoins_.add();
-            shared = it->second.future;
-        } else {
-            tuningRuns_.add();
-            owner = true;
-            shared = promise.get_future().share();
-            if (it == familyInflight_.end()) {
-                familyInflight_.emplace(
-                    key, InflightFamilyRun{identity, shared});
-                registered = true;
-            }
-        }
-    }
-    if (!owner)
-        return shared.get();
-
-    options.explore.evalPool = &evalPool_;
-    if (options.explore.measureParallelism == 0)
-        options.explore.measureParallelism = evalPool_.numThreads();
-    if (!options.explore.obs.metrics)
-        options.explore.obs.metrics = &metrics_;
     // One shared model across every bucket of the family: each bucket's
     // trials train it, later buckets warm-start from the earlier ones.
-    if (costModel_ && !options.explore.costModel)
-        options.explore.costModel = costModel_.get();
+    attachServiceState(options.explore);
+    const std::string key = familyRequestKey(family, target, options);
+    InflightRuns<FamilyTuneReport>::Claim claim;
+    {
+        MutexLock lock(mu_);
+        claim = familyInflight_.claim(key);
+    }
+    (claim.owner ? tuningRuns_ : coalescedJoins_).add();
+    if (!claim.owner)
+        return claim.future.get();
+
     FamilyTuneReport report = ft::tuneFamily(family, target, options);
     evaluations_.add(static_cast<uint64_t>(report.totalTrials));
     if (report.table.total())
         publishDispatchTable(family.name, report.table);
     {
         MutexLock lock(mu_);
-        if (registered)
-            familyInflight_.erase(key);
+        familyInflight_.release(key);
     }
-    promise.set_value(report);
+    claim.promise.set_value(report);
     return report;
-}
-
-uint64_t
-TuningService::graphFingerprint(const graph::ComputeDag &dag,
-                                const Target &target,
-                                const TuneOptions &options)
-{
-    const ExploreOptions &e = options.explore;
-    uint64_t h = kFnvOffset;
-    // The DAG's own 64-bit fingerprint is the structural key; device and
-    // the result-shaping options fold in on top.
-    fnvU64(h, dag.fingerprint());
-    fnvStr(h, target.deviceName());
-    fnvU64(h, static_cast<uint64_t>(options.method));
-    fnvU64(h, static_cast<uint64_t>(e.trials));
-    fnvU64(h, static_cast<uint64_t>(e.startingPoints));
-    fnvU64(h, static_cast<uint64_t>(e.warmupPoints));
-    fnvU64(h, e.seed);
-    fnvReal(h, e.targetGflops);
-    fnvU64(h, options.templateRestricted ? 1 : 0);
-    fnvReal(h, e.deadlineSimSeconds);
-    fnvU64(h, e.costModel != nullptr ? 1 : 0);
-    fnvReal(h, e.prunerKeep);
-    return h;
-}
-
-std::string
-TuningService::graphIdentity(const graph::ComputeDag &dag,
-                             const Target &target,
-                             const TuneOptions &options)
-{
-    std::ostringstream oss;
-    const ExploreOptions &e = options.explore;
-    oss << dag.spec() << "@" << target.deviceName() << "#"
-        << methodName(options.method) << "|trials=" << e.trials
-        << "|starts=" << e.startingPoints << "|warmup=" << e.warmupPoints
-        << "|seed=" << e.seed << "|target=" << e.targetGflops
-        << "|tmpl=" << options.templateRestricted
-        << "|deadline=" << e.deadlineSimSeconds
-        << "|cm=" << (e.costModel != nullptr)
-        << "|prune=" << e.prunerKeep;
-    return oss.str();
 }
 
 graph::DagTuneReport
@@ -500,48 +447,24 @@ TuningService::tuneDag(const graph::ComputeDag &dag, const Target &target,
                        TuneOptions options)
 {
     graphRequests_.add();
-    const uint64_t key = graphFingerprint(dag, target, options);
-    const std::string identity = graphIdentity(dag, target, options);
-    std::promise<graph::DagTuneReport> promise;
-    std::shared_future<graph::DagTuneReport> shared;
-    bool owner = false;
-    bool registered = false;
+    attachServiceState(options.explore);
+    const std::string key = graphRequestKey(dag, target, options);
+    InflightRuns<graph::DagTuneReport>::Claim claim;
     {
         MutexLock lock(mu_);
         auto cached = graphCache_.find(key);
-        if (cached != graphCache_.end() &&
-            cached->second.identity == identity) {
+        if (cached != graphCache_.end()) {
             graphCacheHits_.add();
-            return cached->second.report;
+            return cached->second;
         }
-        auto it = graphInflight_.find(key);
-        if (it != graphInflight_.end() &&
-            it->second.identity == identity) {
-            coalescedJoins_.add();
-            shared = it->second.future;
-        } else {
-            tuningRuns_.add();
-            owner = true;
-            shared = promise.get_future().share();
-            if (it == graphInflight_.end()) {
-                graphInflight_.emplace(key,
-                                       InflightGraphRun{identity, shared});
-                registered = true;
-            }
-        }
+        claim = graphInflight_.claim(key);
     }
-    if (!owner)
-        return shared.get();
+    (claim.owner ? tuningRuns_ : coalescedJoins_).add();
+    if (!claim.owner)
+        return claim.future.get();
 
     if (!options.cache)
         options.cache = options_.persistentCache;
-    options.explore.evalPool = &evalPool_;
-    if (options.explore.measureParallelism == 0)
-        options.explore.measureParallelism = evalPool_.numThreads();
-    if (!options.explore.obs.metrics)
-        options.explore.obs.metrics = &metrics_;
-    if (costModel_ && !options.explore.costModel)
-        options.explore.costModel = costModel_.get();
     graph::DagTuneReport report = graph::tuneDag(dag, target, options);
     for (const auto &sub : report.groups) {
         if (!sub.tuned)
@@ -552,29 +475,27 @@ TuningService::tuneDag(const graph::ComputeDag &dag, const Target &target,
     }
     {
         MutexLock lock(mu_);
-        graphCache_[key] = GraphSlot{identity, report};
-        if (registered)
-            graphInflight_.erase(key);
+        graphCache_[key] = report;
+        graphInflight_.release(key);
     }
-    promise.set_value(report);
+    claim.promise.set_value(report);
     return report;
 }
 
 namespace {
 
-/** Filesystem-safe name for a (family, device) dispatch slot. */
+/** Filesystem-safe file name for a dispatch slot. */
 std::string
-dispatchFileName(const std::string &familyName, const std::string &device)
+dispatchFileName(std::string slot)
 {
-    std::string name = familyName + "@" + device;
-    for (char &c : name) {
+    for (char &c : slot) {
         const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                         (c >= '0' && c <= '9') || c == '-' || c == '_' ||
                         c == '@' || c == '.';
         if (!ok)
             c = '_';
     }
-    return name + ".dispatch";
+    return slot + ".dispatch";
 }
 
 } // namespace
@@ -583,20 +504,17 @@ void
 TuningService::publishDispatchTable(const std::string &familyName,
                                     const DispatchTable &table)
 {
-    const std::string &device = table.device();
+    const std::string slot = dispatchSlot(familyName, table.device());
     {
         MutexLock lock(mu_);
-        const uint64_t slot = dispatchFingerprint(familyName, device);
-        dispatch_[slot] =
-            DispatchSlot{dispatchIdentity(familyName, device), table};
+        dispatch_[slot] = table;
     }
     if (options_.dispatchDir.empty())
         return;
     std::error_code ec;
     std::filesystem::create_directories(options_.dispatchDir, ec);
     const std::string path =
-        (std::filesystem::path(options_.dispatchDir) /
-         dispatchFileName(familyName, device))
+        (std::filesystem::path(options_.dispatchDir) / dispatchFileName(slot))
             .string();
     if (!table.saveToFile(path))
         warn("could not persist dispatch table to ", path);
@@ -620,12 +538,10 @@ TuningService::reloadDispatchTables()
                  entry.path().string());
             continue;
         }
+        const std::string slot =
+            dispatchSlot(table->familyName(), table->device());
         MutexLock lock(mu_);
-        const uint64_t slot =
-            dispatchFingerprint(table->familyName(), table->device());
-        dispatch_[slot] = DispatchSlot{
-            dispatchIdentity(table->familyName(), table->device()),
-            std::move(*table)};
+        dispatch_[slot] = std::move(*table);
         ++loaded;
     }
     if (loaded)
@@ -641,42 +557,70 @@ TuningService::tuneFamily(const ShapeFamily &family, const Target &target,
     return runFamily(family, target, std::move(options));
 }
 
+bool
+TuningService::serveFromTable(const std::string &slot,
+                              const ShapeFamily &family, int64_t shape,
+                              FamilyServeResult &out)
+{
+    MutexLock lock(mu_);
+    auto it = dispatch_.find(slot);
+    if (it == dispatch_.end() || !it->second.var().contains(shape))
+        return false;
+    dispatchHits_.add();
+    answerFromEntry(it->second.lookup(shape), family, shape, out);
+    out.fromDispatch = true;
+    return true;
+}
+
 FamilyServeResult
 TuningService::serveShape(const ShapeFamily &family, int64_t shape,
-                          const Target &target, FamilyTuneOptions options)
+                          const Target &target, FamilyTuneOptions options,
+                          RequestOptions request)
 {
-    FT_ASSERT(family.var.contains(shape), "shape ", shape,
-              " outside the declared range of family ", family.name);
-    familyRequests_.add();
-    const uint64_t slot =
-        dispatchFingerprint(family.name, target.deviceName());
-    const std::string slotIdentity =
-        dispatchIdentity(family.name, target.deviceName());
-    {
-        MutexLock lock(mu_);
-        auto it = dispatch_.find(slot);
-        if (it != dispatch_.end() && it->second.identity == slotIdentity) {
-            const DispatchEntry &entry = it->second.table.lookup(shape);
-            dispatchHits_.add();
-            FamilyServeResult out;
-            out.config = entry.config;
-            adaptSplitToExtent(out.config, family.dynamicAxis, shape);
-            out.gflops = entry.gflops;
-            out.bucket = {entry.lo, entry.hi};
-            out.fromDispatch = true;
-            return out;
-        }
-    }
-    // No table yet: tune the family (coalescing with concurrent
-    // requests), then serve from the fresh table.
-    FamilyTuneReport report = runFamily(family, target, std::move(options));
-    const DispatchEntry &entry = report.table.lookup(shape);
     FamilyServeResult out;
-    out.config = entry.config;
-    adaptSplitToExtent(out.config, family.dynamicAxis, shape);
-    out.gflops = entry.gflops;
-    out.bucket = {entry.lo, entry.hi};
-    out.fromDispatch = false;
+    if (!family.var.contains(shape)) {
+        out.outcome = AdmissionOutcome::Shed;
+        out.reason = "code=FT-ADM-SHAPE-RANGE why=\"shape " +
+                     std::to_string(shape) + " outside [" +
+                     std::to_string(family.var.lo) + ", " +
+                     std::to_string(family.var.hi) + "] of family " +
+                     family.name + "\"";
+        return out;
+    }
+    const std::string slot = dispatchSlot(family.name, target.deviceName());
+    const double now = options_.clock();
+    const AdmissionDecision decision = admission_->admit(
+        slot, request.priority, now, now + request.deadlineSeconds);
+    out.outcome = decision.outcome;
+    out.reason = decision.reason;
+    switch (decision.outcome) {
+      case AdmissionOutcome::Shed:
+      case AdmissionOutcome::BreakerOpen:
+        return out;
+      case AdmissionOutcome::Brownout:
+        // A published dispatch table is the only permitted answer.
+        familyRequests_.add();
+        if (serveFromTable(slot, family, shape, out)) {
+            brownoutServed_.add();
+            out.degradedAnswer = true;
+            out.reason.clear();
+        }
+        return out;
+      case AdmissionOutcome::Admitted:
+        break;
+    }
+
+    familyRequests_.add();
+    TicketScope done{*admission_, slot, decision.ticket, options_.clock};
+    if (!serveFromTable(slot, family, shape, out)) {
+        // No table yet: tune the family (coalescing with concurrent
+        // requests), then serve from the fresh table.
+        propagateBudget(options.explore, decision.budgetSeconds);
+        FamilyTuneReport report =
+            runFamily(family, target, std::move(options));
+        answerFromEntry(report.table.lookup(shape), family, shape, out);
+    }
+    done.success = true;
     return out;
 }
 
@@ -699,242 +643,16 @@ TuningService::propagateBudget(ExploreOptions &explore,
         explore.resilience.trialDeadlineSeconds = simBudget;
 }
 
-AdmittedReport
-TuningService::tuneAnchorAdmitted(const Operation &anchor,
-                                  const Target &target, TuneOptions options,
-                                  RequestOptions request)
-{
-    const std::string opKey = tuningKeyFor(anchor, target.deviceName());
-    const double now = options_.clock();
-    const double deadline = now + request.deadlineSeconds;
-    const AdmissionDecision decision =
-        admission_->admit(opKey, request.priority, now, deadline);
-
-    AdmittedReport out;
-    out.outcome = decision.outcome;
-    out.reason = decision.reason;
-    switch (decision.outcome) {
-      case AdmissionOutcome::Shed:
-      case AdmissionOutcome::BreakerOpen:
-        return out;
-      case AdmissionOutcome::Brownout: {
-        // Degraded mode: only the LRU report cache may answer — never
-        // start fresh tuning work while saturated.
-        const uint64_t key = requestFingerprint(anchor, target, options);
-        const std::string identity =
-            requestIdentity(anchor, target, options);
-        MutexLock lock(mu_);
-        if (const TuneReport *hit = lruGet(key, identity)) {
-            resultCacheHits_.add();
-            brownoutServed_.add();
-            out.report = *hit;
-            out.report->fromCache = true;
-            out.degradedAnswer = true;
-            out.reason.clear();
-        }
-        return out;
-      }
-      case AdmissionOutcome::Admitted:
-        break;
-    }
-
-    propagateBudget(options.explore, decision.budgetSeconds);
-    bool success = false;
-    try {
-        out.report = tuneAnchor(anchor, target, std::move(options));
-        success = out.report->gflops > 0.0;
-    } catch (...) {
-        admission_->onComplete(opKey, decision.ticket, options_.clock(),
-                               false);
-        throw;
-    }
-    admission_->onComplete(opKey, decision.ticket, options_.clock(),
-                           success);
-    if (!success) {
-        out.outcome = AdmissionOutcome::Shed;
-        out.reason = "code=FT-ADM-RUN-FAILED why=\"tuning run produced no "
-                     "valid schedule\"";
-        out.report.reset();
-    }
-    return out;
-}
-
-AdmittedReport
-TuningService::tuneAdmitted(const Tensor &output, const Target &target,
-                            TuneOptions options, RequestOptions request)
-{
-    MiniGraph graph(output);
-    return tuneAnchorAdmitted(anchorOp(graph), target, std::move(options),
-                              request);
-}
-
-std::future<AdmittedReport>
-TuningService::submitAdmitted(const Tensor &output, const Target &target,
-                              TuneOptions options, RequestOptions request)
-{
-    // The admission decision happens here, synchronously: a shed
-    // request is refused before it ever occupies a request-pool slot.
-    MiniGraph graph(output);
-    const Operation anchor = anchorOp(graph);
-    const std::string opKey = tuningKeyFor(anchor, target.deviceName());
-    const double now = options_.clock();
-    const double deadline = now + request.deadlineSeconds;
-    const AdmissionDecision decision =
-        admission_->admit(opKey, request.priority, now, deadline);
-
-    if (decision.outcome != AdmissionOutcome::Admitted) {
-        AdmittedReport out;
-        out.outcome = decision.outcome;
-        out.reason = decision.reason;
-        if (decision.outcome == AdmissionOutcome::Brownout) {
-            const uint64_t key =
-                requestFingerprint(anchor, target, options);
-            const std::string identity =
-                requestIdentity(anchor, target, options);
-            MutexLock lock(mu_);
-            if (const TuneReport *hit = lruGet(key, identity)) {
-                resultCacheHits_.add();
-                brownoutServed_.add();
-                out.report = *hit;
-                out.report->fromCache = true;
-                out.degradedAnswer = true;
-                out.reason.clear();
-            }
-        }
-        std::promise<AdmittedReport> ready;
-        ready.set_value(std::move(out));
-        return ready.get_future();
-    }
-
-    propagateBudget(options.explore, decision.budgetSeconds);
-    auto task = std::make_shared<std::packaged_task<AdmittedReport()>>(
-        [this, anchor, target, opKey, ticket = decision.ticket,
-         options = std::move(options)]() mutable {
-            AdmittedReport out;
-            out.outcome = AdmissionOutcome::Admitted;
-            bool success = false;
-            try {
-                out.report = tuneAnchor(anchor, target, std::move(options));
-                success = out.report->gflops > 0.0;
-            } catch (...) {
-                admission_->onComplete(opKey, ticket, options_.clock(),
-                                       false);
-                throw;
-            }
-            admission_->onComplete(opKey, ticket, options_.clock(),
-                                   success);
-            if (!success) {
-                out.outcome = AdmissionOutcome::Shed;
-                out.reason = "code=FT-ADM-RUN-FAILED why=\"tuning run "
-                             "produced no valid schedule\"";
-                out.report.reset();
-            }
-            return out;
-        });
-    std::future<AdmittedReport> future = task->get_future();
-    requestPool_.submit([task] { (*task)(); });
-    return future;
-}
-
-AdmittedServeResult
-TuningService::serveShapeAdmitted(const ShapeFamily &family, int64_t shape,
-                                  const Target &target,
-                                  FamilyTuneOptions options,
-                                  RequestOptions request)
-{
-    const std::string opKey =
-        dispatchIdentity(family.name, target.deviceName());
-    const double now = options_.clock();
-    const double deadline = now + request.deadlineSeconds;
-    const AdmissionDecision decision =
-        admission_->admit(opKey, request.priority, now, deadline);
-
-    AdmittedServeResult out;
-    out.outcome = decision.outcome;
-    out.reason = decision.reason;
-
-    // A published dispatch table answers a lookup without tuning — in
-    // brownout it is the *only* permitted answer; on an admitted
-    // request it is simply the fast path.
-    auto fromTable = [&]() -> bool {
-        const uint64_t slot =
-            dispatchFingerprint(family.name, target.deviceName());
-        MutexLock lock(mu_);
-        auto it = dispatch_.find(slot);
-        if (it == dispatch_.end() || it->second.identity != opKey ||
-            !it->second.table.var().contains(shape))
-            return false;
-        const DispatchEntry &entry = it->second.table.lookup(shape);
-        dispatchHits_.add();
-        FamilyServeResult result;
-        result.config = entry.config;
-        adaptSplitToExtent(result.config, family.dynamicAxis, shape);
-        result.gflops = entry.gflops;
-        result.bucket = {entry.lo, entry.hi};
-        result.fromDispatch = true;
-        out.result = std::move(result);
-        return true;
-    };
-
-    switch (decision.outcome) {
-      case AdmissionOutcome::Shed:
-      case AdmissionOutcome::BreakerOpen:
-        return out;
-      case AdmissionOutcome::Brownout:
-        familyRequests_.add();
-        if (fromTable()) {
-            brownoutServed_.add();
-            out.degradedAnswer = true;
-            out.reason.clear();
-        }
-        return out;
-      case AdmissionOutcome::Admitted:
-        break;
-    }
-
-    familyRequests_.add();
-    if (fromTable()) {
-        admission_->onComplete(opKey, decision.ticket, options_.clock(),
-                               true);
-        out.reason.clear();
-        return out;
-    }
-    propagateBudget(options.explore, decision.budgetSeconds);
-    bool success = false;
-    try {
-        FamilyTuneReport report =
-            runFamily(family, target, std::move(options));
-        const DispatchEntry &entry = report.table.lookup(shape);
-        FamilyServeResult result;
-        result.config = entry.config;
-        adaptSplitToExtent(result.config, family.dynamicAxis, shape);
-        result.gflops = entry.gflops;
-        result.bucket = {entry.lo, entry.hi};
-        result.fromDispatch = false;
-        out.result = std::move(result);
-        success = true;
-    } catch (...) {
-        admission_->onComplete(opKey, decision.ticket, options_.clock(),
-                               false);
-        throw;
-    }
-    admission_->onComplete(opKey, decision.ticket, options_.clock(),
-                           success);
-    out.reason.clear();
-    return out;
-}
-
 std::optional<DispatchTable>
 TuningService::dispatchTableFor(const std::string &familyName,
                                 const std::string &device) const
 {
-    const uint64_t slot = dispatchFingerprint(familyName, device);
+    const std::string slot = dispatchSlot(familyName, device);
     MutexLock lock(mu_);
     auto it = dispatch_.find(slot);
-    if (it == dispatch_.end() ||
-        it->second.identity != dispatchIdentity(familyName, device))
+    if (it == dispatch_.end())
         return std::nullopt;
-    return it->second.table;
+    return it->second;
 }
 
 ServiceStats

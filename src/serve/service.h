@@ -6,10 +6,11 @@
  * (submit()), one scoring measurement batches inside each request — and
  * layers three levels of result reuse over the tuner:
  *
- *   1. An in-memory LRU cache of complete TuneReports keyed by a 64-bit
- *      FNV-1a request fingerprint (operator + shape + device + method +
- *      options), with the full identity string kept behind the hash for
- *      collision checking.
+ *   1. An in-memory LRU cache of complete TuneReports keyed by the
+ *      request key: the operator/shape/device tuning key plus every
+ *      option that can change the returned report. One field list in
+ *      service.cc builds the keys of all request kinds, and the key
+ *      string itself indexes every cache and in-flight map.
  *   2. Request coalescing: concurrent identical requests share a single
  *      in-flight tuning run; joiners block on a shared future and all
  *      receive the same report.
@@ -20,6 +21,12 @@
  * requests coalesce, and finished runs publish their DispatchTable so
  * serveShape() can answer any in-range shape from the table without
  * tuning again.
+ *
+ * Every tune(), tuneAnchor(), submit() and serveShape() request passes
+ * the AdmissionController first (see serve/admission.h): it is run,
+ * answered from caches only (brownout), or refused with a structured
+ * reason, and the outcome rides on the answer (ServeStatus). The
+ * default AdmissionOptions never refuse; bounded policies are opt-in.
  *
  * Per-service counters expose the request mix for monitoring.
  */
@@ -35,6 +42,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -60,8 +68,8 @@ struct ServiceOptions
     size_t resultCacheCapacity = 128;
     /** Optional persistent best-schedule store (not owned). */
     TuningCache *persistentCache = nullptr;
-    /** Admission-control policy for the *Admitted request paths. The
-     *  worker count defaults to requestThreads when left at <= 0. */
+    /** Admission-control policy of every gated request. The worker
+     *  count defaults to requestThreads when left at <= 0. */
     AdmissionOptions admission;
     /**
      * Simulated exploration seconds one wall second of request budget
@@ -127,24 +135,13 @@ struct ServiceStats
     size_t costModelTrials = 0;   ///< trials in the training window
     uint64_t costModelRefits = 0; ///< refits performed since startup
     bool costModelReady = false;  ///< a trained snapshot is serving
-    /** Admission-control state (the *Admitted request paths). */
+    /** Admission-control state. */
     AdmissionStats admission;
     /** Full registry snapshot the fields above were read from. */
     MetricsSnapshot metrics;
 };
 
-/** Outcome of serving one concrete shape of a family. */
-struct FamilyServeResult
-{
-    /** Bucket's best schedule, dynamic split re-fit to the shape. */
-    OpConfig config;
-    double gflops = 0.0; ///< recorded family score of the bucket entry
-    ShapeBucket bucket;  ///< bucket that served the shape
-    /** True when an already-published dispatch table answered. */
-    bool fromDispatch = false;
-};
-
-/** Per-request admission parameters for the *Admitted entry points. */
+/** Per-request admission parameters. */
 struct RequestOptions
 {
     /** Interactive lookups outrank batch tunes under pressure. */
@@ -154,30 +151,79 @@ struct RequestOptions
     double deadlineSeconds = std::numeric_limits<double>::infinity();
 };
 
-/** An admission-gated tuning answer. */
-struct AdmittedReport
+/** How admission control answered one request. */
+struct ServeStatus
 {
-    AdmissionOutcome outcome = AdmissionOutcome::Shed;
-    /** Structured rejection reason; empty when a report is present. */
+    AdmissionOutcome outcome = AdmissionOutcome::Admitted;
+    /** Structured refusal reason ("code=FT-ADM-... why=\"...\""); empty
+     *  when the request was served. */
     std::string reason;
-    /** True when a brownout was answered from the LRU report cache. */
+    /** True when a brownout was answered from a cache or a published
+     *  dispatch table. */
     bool degradedAnswer = false;
-    /** The report, when admitted or brownout-served. */
-    std::optional<TuneReport> report;
 
-    bool served() const { return report.has_value(); }
+    /** Whether the answer carries a result. */
+    bool served() const
+    {
+        return outcome == AdmissionOutcome::Admitted || degradedAnswer;
+    }
 };
 
-/** An admission-gated family serve answer. */
-struct AdmittedServeResult
-{
-    AdmissionOutcome outcome = AdmissionOutcome::Shed;
-    std::string reason;
-    /** True when a brownout was answered from a published table. */
-    bool degradedAnswer = false;
-    std::optional<FamilyServeResult> result;
+/**
+ * A tuning answer. The TuneReport part is empty when the request was
+ * refused; a run that found no valid schedule keeps its report but is
+ * not served (reason code FT-ADM-RUN-FAILED).
+ */
+struct ServedReport : TuneReport, ServeStatus
+{};
 
-    bool served() const { return result.has_value(); }
+/** Outcome of serving one concrete shape of a family. */
+struct FamilyServeResult : ServeStatus
+{
+    /** Bucket's best schedule, dynamic split re-fit to the shape. */
+    OpConfig config;
+    double gflops = 0.0; ///< recorded family score of the bucket entry
+    ShapeBucket bucket;  ///< bucket that served the shape
+    /** True when an already-published dispatch table answered. */
+    bool fromDispatch = false;
+};
+
+/**
+ * The runs in flight under each request key: concurrent identical
+ * requests share one run. claim() makes the caller the owner of a new
+ * run or joins the one in flight; the owner stores its report,
+ * release()s the key and then fulfils its promise. Unsynchronized: the
+ * service guards every instance with its mutex.
+ */
+template <typename Report>
+class InflightRuns
+{
+  public:
+    /** A caller's part in one run. */
+    struct Claim
+    {
+        bool owner = false;
+        std::promise<Report> promise;      ///< fulfilled by the owner
+        std::shared_future<Report> future; ///< what a joiner waits on
+    };
+
+    Claim claim(const std::string &key)
+    {
+        Claim c;
+        auto [it, fresh] = runs_.try_emplace(key);
+        if (fresh)
+            it->second = c.promise.get_future().share();
+        c.owner = fresh;
+        c.future = it->second;
+        return c;
+    }
+
+    void release(const std::string &key) { runs_.erase(key); }
+
+    size_t size() const { return runs_.size(); }
+
+  private:
+    std::unordered_map<std::string, std::shared_future<Report>> runs_;
 };
 
 class TuningService
@@ -190,61 +236,33 @@ class TuningService
 
     /**
      * Tune the mini-graph rooted at `output`. Thread-safe; identical
-     * concurrent requests coalesce into one run. Blocks until a report
-     * is available (possibly produced by another caller's run).
-     */
-    TuneReport tune(const Tensor &output, const Target &target,
-                    TuneOptions options = {});
-
-    /** Tune one specific compute node (same reuse/coalescing path). */
-    TuneReport tuneAnchor(const Operation &anchor, const Target &target,
-                          TuneOptions options = {});
-
-    /** Enqueue a request on the service's request pool. */
-    std::future<TuneReport> submit(const Tensor &output,
-                                   const Target &target,
-                                   TuneOptions options = {});
-
-    /**
-     * Admission-gated tune: the controller decides *synchronously* —
-     * shed and breaker rejections return immediately with a structured
-     * reason, a brownout is answered from the LRU report cache or
+     * concurrent requests coalesce into one run. Admission decides
+     * first: a shed or breaker-rejected request returns at once with
+     * its reason, a brownout is answered from the LRU report cache or
      * refused, and an admitted request runs with its remaining wall
      * budget propagated into the explorer's simulated deadline and the
      * per-trial deadline (see ServiceOptions::simBudgetPerSecond).
+     * Blocks until a report is available (possibly produced by another
+     * caller's run).
      */
-    AdmittedReport tuneAdmitted(const Tensor &output, const Target &target,
-                                TuneOptions options = {},
-                                RequestOptions request = {});
+    ServedReport tune(const Tensor &output, const Target &target,
+                      TuneOptions options = {}, RequestOptions request = {});
 
-    /** tuneAdmitted() for one specific compute node. */
-    AdmittedReport tuneAnchorAdmitted(const Operation &anchor,
-                                      const Target &target,
-                                      TuneOptions options = {},
-                                      RequestOptions request = {});
-
-    /**
-     * Admission-gated submit: the admission decision happens now, on
-     * the caller's thread (a shed request never occupies a queue slot);
-     * only admitted work is enqueued. The returned future is always
-     * valid and yields the same AdmittedReport tuneAdmitted() would.
-     */
-    std::future<AdmittedReport> submitAdmitted(const Tensor &output,
-                                               const Target &target,
-                                               TuneOptions options = {},
-                                               RequestOptions request = {});
+    /** Tune one specific compute node (same admission and reuse path). */
+    ServedReport tuneAnchor(const Operation &anchor, const Target &target,
+                            TuneOptions options = {},
+                            RequestOptions request = {});
 
     /**
-     * Admission-gated serveShape(). Defaults to Interactive priority:
-     * table lookups are the traffic the queue headroom protects. In
-     * brownout only a published dispatch table may answer.
+     * Enqueue a request on the service's request pool. The admission
+     * decision happens now, on the caller's thread (a shed request
+     * never occupies a queue slot); only admitted work is enqueued. The
+     * returned future is always valid and yields what tune() would.
      */
-    AdmittedServeResult
-    serveShapeAdmitted(const ShapeFamily &family, int64_t shape,
-                       const Target &target, FamilyTuneOptions options = {},
-                       RequestOptions request = {RequestPriority::Interactive,
-                                                 std::numeric_limits<
-                                                     double>::infinity()});
+    std::future<ServedReport> submit(const Tensor &output,
+                                     const Target &target,
+                                     TuneOptions options = {},
+                                     RequestOptions request = {});
 
     /**
      * Tune a whole shape family. Thread-safe; identical concurrent
@@ -257,8 +275,8 @@ class TuningService
 
     /**
      * Graph-level scheduling of a whole compute DAG. Requests are keyed
-     * by the DAG's 64-bit fingerprint plus device and tuning options: a
-     * repeat request is served from the graph report cache without
+     * by the DAG's spec plus device and tuning options: a repeat
+     * request is served from the graph report cache without
      * re-partitioning or re-tuning, and concurrent identical requests
      * coalesce into one run (the anchor tunes inside still hit the
      * operator-level reuse layers).
@@ -271,11 +289,15 @@ class TuningService
      * Serve one concrete shape of a family: a published dispatch table
      * answers immediately (a dispatch hit); otherwise the family is
      * tuned first (coalescing with concurrent requests) and the fresh
-     * table answers. The shape must be inside the declared range.
+     * table answers. A shape outside the declared range is refused
+     * (FT-ADM-SHAPE-RANGE) before admission. Defaults to Interactive
+     * priority: table lookups are the traffic the queue headroom
+     * protects. In brownout only a published table may answer.
      */
-    FamilyServeResult serveShape(const ShapeFamily &family, int64_t shape,
-                                 const Target &target,
-                                 FamilyTuneOptions options = {});
+    FamilyServeResult
+    serveShape(const ShapeFamily &family, int64_t shape, const Target &target,
+               FamilyTuneOptions options = {},
+               RequestOptions request = {RequestPriority::Interactive});
 
     /** Copy of the published table for a family/device, if any. */
     std::optional<DispatchTable>
@@ -295,7 +317,7 @@ class TuningService
     /** The measurement pool (shared by all requests). */
     ThreadPool &evalPool() { return evalPool_; }
 
-    /** The admission controller behind the *Admitted entry points. */
+    /** The admission controller every gated request passes. */
     AdmissionController &admission() { return *admission_; }
 
     /** The persistent cost model (null unless enableCostModel). */
@@ -304,103 +326,45 @@ class TuningService
     const ServiceOptions &options() const { return options_; }
 
   private:
-    /** One LRU slot: fingerprint, collision-check identity, report. */
-    struct CachedReport
-    {
-        uint64_t key;
-        std::string identity;
-        TuneReport report;
-    };
-
-    /** One in-flight run: collision-check identity + shared result. */
-    struct InflightRun
-    {
-        std::string identity;
-        std::shared_future<TuneReport> future;
-    };
-
-    struct InflightFamilyRun
-    {
-        std::string identity;
-        std::shared_future<FamilyTuneReport> future;
-    };
-
-    struct InflightGraphRun
-    {
-        std::string identity;
-        std::shared_future<graph::DagTuneReport> future;
-    };
-
-    /** A cached whole-DAG report plus its collision-check identity. */
-    struct GraphSlot
-    {
-        std::string identity;
-        graph::DagTuneReport report;
-    };
-
-    /** A published dispatch table plus its collision-check identity. */
-    struct DispatchSlot
-    {
-        std::string identity;
-        DispatchTable table;
-    };
+    /** One LRU slot: request key and report. */
+    using CachedReport = std::pair<std::string, TuneReport>;
 
     /**
-     * 64-bit FNV-1a over the raw request fields (no string assembly on
-     * the hot path). The LRU and the in-flight map are keyed by this;
-     * requestIdentity() is materialized only on a fingerprint hit to
-     * rule out collisions.
+     * Admission for one op request. A refusal or brownout is answered
+     * into `out` (a brownout from the LRU report cache only); an
+     * admitted request gets its wall budget propagated into `options`.
      */
-    static uint64_t requestFingerprint(const Operation &anchor,
-                                       const Target &target,
-                                       const TuneOptions &options);
+    AdmissionDecision admitOp(const std::string &opKey, TuneOptions &options,
+                              const RequestOptions &request,
+                              ServedReport &out);
 
-    /** Full request identity: tuning key + the options that shape it. */
-    static std::string requestIdentity(const Operation &anchor,
-                                       const Target &target,
-                                       const TuneOptions &options);
+    /** Run an admitted op request and complete its admission ticket. */
+    ServedReport runWithTicket(const Operation &anchor, const Target &target,
+                               const std::string &opKey, uint64_t ticket,
+                               TuneOptions options);
 
-    /** Fingerprint/identity of a whole-family tuning request. */
-    static uint64_t familyFingerprint(const ShapeFamily &family,
-                                      const Target &target,
-                                      const FamilyTuneOptions &options);
-    static std::string familyIdentity(const ShapeFamily &family,
-                                      const Target &target,
-                                      const FamilyTuneOptions &options);
+    /** The coalescing, LRU-cached tuning run behind every op request. */
+    TuneReport runOp(const Operation &anchor, const Target &target,
+                     const std::string &opKey, TuneOptions options);
 
-    /** Fingerprint/identity of a whole-DAG tuning request. */
-    static uint64_t graphFingerprint(const graph::ComputeDag &dag,
-                                     const Target &target,
-                                     const TuneOptions &options);
-    static std::string graphIdentity(const graph::ComputeDag &dag,
-                                     const Target &target,
-                                     const TuneOptions &options);
+    /** LRU lookup; promotes the entry on hit. Caller holds mu_. */
+    const TuneReport *lruGet(const std::string &key) FT_REQUIRES(mu_);
 
-    /** Fingerprint/identity of a (family, device) dispatch slot. */
-    static uint64_t dispatchFingerprint(const std::string &familyName,
-                                        const std::string &device);
-    static std::string dispatchIdentity(const std::string &familyName,
-                                        const std::string &device);
-
-    /**
-     * LRU lookup; promotes the entry on hit. Returns null on a
-     * fingerprint collision (identity mismatch). Caller holds mu_.
-     */
-    const TuneReport *lruGet(uint64_t key, const std::string &identity)
+    /** LRU insert with eviction. Caller holds mu_. */
+    void lruPut(const std::string &key, const TuneReport &report)
         FT_REQUIRES(mu_);
-
-    /**
-     * LRU insert with eviction. A fingerprint collision (slot taken by
-     * a different identity) leaves the existing entry in place. Caller
-     * holds mu_.
-     */
-    void lruPut(uint64_t key, const std::string &identity,
-                const TuneReport &report) FT_REQUIRES(mu_);
 
     /** The coalescing family run behind tuneFamily()/serveShape(). */
     FamilyTuneReport runFamily(const ShapeFamily &family,
                                const Target &target,
                                FamilyTuneOptions options);
+
+    /**
+     * Answer `shape` from the published table of `slot` into `out`.
+     * Returns false when no published table covers the shape.
+     */
+    bool serveFromTable(const std::string &slot, const ShapeFamily &family,
+                        int64_t shape, FamilyServeResult &out);
 
     /**
      * Clamp the explorer's simulated budget (run deadline + per-trial
@@ -410,6 +374,10 @@ class TuningService
      */
     void propagateBudget(ExploreOptions &explore,
                          double budgetSeconds) const;
+
+    /** Point the explore options at the service's pool, metrics
+     *  registry and cost model, unless the request set its own. */
+    void attachServiceState(ExploreOptions &explore);
 
     /** Publish one table under mu_ and persist it when dispatchDir is
      *  set. Caller must NOT hold mu_. */
@@ -445,19 +413,17 @@ class TuningService
     Counter &graphCacheHits_;
 
     mutable Mutex mu_;
-    std::unordered_map<uint64_t, InflightRun> inflight_
-        FT_GUARDED_BY(mu_);
-    /** front = newest */
+    InflightRuns<TuneReport> inflight_ FT_GUARDED_BY(mu_);
+    /** front = newest; the index views the keys stored in the list. */
     std::list<CachedReport> lru_ FT_GUARDED_BY(mu_);
-    std::unordered_map<uint64_t, std::list<CachedReport>::iterator>
+    std::unordered_map<std::string_view, std::list<CachedReport>::iterator>
         lruIndex_ FT_GUARDED_BY(mu_);
-    std::unordered_map<uint64_t, InflightFamilyRun> familyInflight_
+    InflightRuns<FamilyTuneReport> familyInflight_ FT_GUARDED_BY(mu_);
+    /** Published tables by "family@device" slot. */
+    std::unordered_map<std::string, DispatchTable> dispatch_
         FT_GUARDED_BY(mu_);
-    std::unordered_map<uint64_t, DispatchSlot> dispatch_
-        FT_GUARDED_BY(mu_);
-    std::unordered_map<uint64_t, InflightGraphRun> graphInflight_
-        FT_GUARDED_BY(mu_);
-    std::unordered_map<uint64_t, GraphSlot> graphCache_
+    InflightRuns<graph::DagTuneReport> graphInflight_ FT_GUARDED_BY(mu_);
+    std::unordered_map<std::string, graph::DagTuneReport> graphCache_
         FT_GUARDED_BY(mu_);
 };
 

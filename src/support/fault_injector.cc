@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "support/hash.h"
 #include "support/logging.h"
 
 namespace ft {
@@ -19,16 +20,11 @@ mix64(uint64_t z)
     return z ^ (z >> 31);
 }
 
-/** FNV-1a over the key bytes. */
+/** FNV-1a (standard basis) over the key bytes. */
 uint64_t
 hashKey(const std::string &key)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : key) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    return Fnv1a64(Fnv1a64::kStandardOffset).bytes(key).value();
 }
 
 /** Uniform double in [0, 1) from a hashed value. */

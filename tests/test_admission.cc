@@ -359,13 +359,12 @@ TEST(ServiceAdmission, ShedRequestIsRejectedImmediatelyWithReason)
     TuneOptions options;
     options.method = Method::Random;
     options.explore.trials = 4;
-    auto future = service.submitAdmitted(admissionGemm(), Target::forGpu(v100()),
-                                         options,
-                                         {RequestPriority::Batch, kInf});
+    auto future = service.submit(admissionGemm(), Target::forGpu(v100()),
+                                 options, {RequestPriority::Batch, kInf});
     // A shed request resolves without ever occupying a pool slot.
     ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
-    AdmittedReport report = future.get();
+    ServedReport report = future.get();
     EXPECT_EQ(report.outcome, AdmissionOutcome::Shed);
     EXPECT_FALSE(report.served());
     EXPECT_NE(report.reason.find("code=FT-ADM-QUEUE-FULL"),
@@ -389,7 +388,7 @@ TEST(ServiceAdmission, BrownoutAnswersFromReportCacheOnly)
     options.explore.trials = 6;
 
     // Warm the LRU report cache while the queue is empty.
-    AdmittedReport warm = service.tuneAdmitted(out, target, options);
+    ServedReport warm = service.tune(out, target, options);
     ASSERT_EQ(warm.outcome, AdmissionOutcome::Admitted);
     ASSERT_TRUE(warm.served());
 
@@ -401,17 +400,17 @@ TEST(ServiceAdmission, BrownoutAnswersFromReportCacheOnly)
                         .admitted());
 
     // The cached request is answered degraded, from the cache...
-    AdmittedReport cached = service.tuneAdmitted(out, target, options);
+    ServedReport cached = service.tune(out, target, options);
     EXPECT_EQ(cached.outcome, AdmissionOutcome::Brownout);
     ASSERT_TRUE(cached.served());
     EXPECT_TRUE(cached.degradedAnswer);
-    EXPECT_TRUE(cached.report->fromCache);
-    EXPECT_DOUBLE_EQ(cached.report->gflops, warm.report->gflops);
+    EXPECT_TRUE(cached.fromCache);
+    EXPECT_DOUBLE_EQ(cached.gflops, warm.gflops);
 
     // ...while an uncached request is refused rather than tuned.
     TuneOptions uncached = options;
     uncached.explore.seed += 99;
-    AdmittedReport refused = service.tuneAdmitted(out, target, uncached);
+    ServedReport refused = service.tune(out, target, uncached);
     EXPECT_EQ(refused.outcome, AdmissionOutcome::Brownout);
     EXPECT_FALSE(refused.served());
     EXPECT_NE(refused.reason.find("code=FT-ADM-BROWNOUT"),
@@ -436,19 +435,19 @@ TEST(ServiceAdmission, DeadlinePropagatesIntoExploreBudget)
     TuneOptions options;
     options.method = Method::Random;
     options.explore.trials = 200; // far more than 10 sim seconds allow
-    AdmittedReport report =
-        service.tuneAdmitted(admissionGemm(), Target::forGpu(v100()),
-                             options, {RequestPriority::Batch, 2.0});
+    ServedReport report =
+        service.tune(admissionGemm(), Target::forGpu(v100()), options,
+                     {RequestPriority::Batch, 2.0});
     ASSERT_EQ(report.outcome, AdmissionOutcome::Admitted);
     ASSERT_TRUE(report.served());
     // The run was cut at the propagated simulated deadline and returned
     // its best-so-far instead of blowing the request deadline. The cut
     // lands at trial granularity: the in-flight measurement may finish
     // just past the line, but nothing new starts after it.
-    EXPECT_TRUE(report.report->degraded);
-    EXPECT_LT(report.report->simExploreSeconds, 2.0 * 10.0);
-    EXPECT_LT(report.report->trials, 200);
-    EXPECT_GT(report.report->gflops, 0.0);
+    EXPECT_TRUE(report.degraded);
+    EXPECT_LT(report.simExploreSeconds, 2.0 * 10.0);
+    EXPECT_LT(report.trials, 200);
+    EXPECT_GT(report.gflops, 0.0);
 }
 
 TEST(ServiceAdmission, DeadlineShedHappensBeforeAnyWork)
@@ -463,9 +462,9 @@ TEST(ServiceAdmission, DeadlineShedHappensBeforeAnyWork)
     TuneOptions options;
     options.method = Method::Random;
     options.explore.trials = 4;
-    AdmittedReport report =
-        service.tuneAdmitted(admissionGemm(), Target::forGpu(v100()),
-                             options, {RequestPriority::Batch, 1.0});
+    ServedReport report =
+        service.tune(admissionGemm(), Target::forGpu(v100()), options,
+                     {RequestPriority::Batch, 1.0});
     EXPECT_EQ(report.outcome, AdmissionOutcome::Shed);
     EXPECT_FALSE(report.served());
     EXPECT_NE(report.reason.find("code=FT-ADM-DEADLINE"),
@@ -502,19 +501,17 @@ TEST(ServiceAdmission, ServeShapeBrownoutAnswersFromDispatchTableOnly)
                     .admit("occupier", RequestPriority::Batch, now, kInf)
                     .admitted());
 
-    AdmittedServeResult hit =
-        service.serveShapeAdmitted(family, 7, target, options);
+    FamilyServeResult hit = service.serveShape(family, 7, target, options);
     EXPECT_EQ(hit.outcome, AdmissionOutcome::Brownout);
     ASSERT_TRUE(hit.served());
     EXPECT_TRUE(hit.degradedAnswer);
-    EXPECT_TRUE(hit.result->fromDispatch);
+    EXPECT_TRUE(hit.fromDispatch);
 
     // A family with no published table is refused in brownout.
     ShapeVar var2 = var;
     var2.hi = 8;
     ShapeFamily other = gemmOverM(/*n=*/32, /*k=*/32, var2);
-    AdmittedServeResult miss =
-        service.serveShapeAdmitted(other, 3, target, options);
+    FamilyServeResult miss = service.serveShape(other, 3, target, options);
     EXPECT_EQ(miss.outcome, AdmissionOutcome::Brownout);
     EXPECT_FALSE(miss.served());
     EXPECT_NE(miss.reason.find("code=FT-ADM-BROWNOUT"),

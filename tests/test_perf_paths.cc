@@ -16,7 +16,10 @@
 #include <fstream>
 #include <vector>
 
+#include "dnn/models.h"
 #include "explore/checkpoint.h"
+#include "explore/evaluator.h"
+#include "graph/dag.h"
 #include "nn/mlp.h"
 #include "ops/ops.h"
 #include "space/builder.h"
@@ -120,6 +123,22 @@ TEST(PerfPaths, PointKeyPinnedConstants)
     EXPECT_EQ((Point{{0}}).key64(), 5187598658539770339ULL);
     EXPECT_EQ((Point{{1, 2, 3}}).key64(), 8115307341289149987ULL);
     EXPECT_EQ((Point{{7, 0, 1023, 42}}).key64(), 5904968694198624284ULL);
+}
+
+TEST(PerfPaths, WorkloadAndDagKeysPinned)
+{
+    // The cost-model journal groups trials by workload key and graph
+    // reports carry the DAG fingerprint; both are FNV-1a 64 keys built
+    // by support/hash.h, pinned at their recorded values.
+    Tensor a = placeholder("A", {64, 64});
+    Tensor b = placeholder("B", {64, 64});
+    Operation anchor = anchorOp(MiniGraph(ops::gemm(a, b)));
+    Target target = Target::forGpu(v100());
+    ScheduleSpace space = buildSpace(anchor, target);
+    EXPECT_EQ(Evaluator(anchor, space, target).workloadKey(),
+              17387703156902646955ULL);
+    EXPECT_EQ(graph::dagFromNetwork(yoloV1(1)).fingerprint(),
+              7847566135845818262ULL);
 }
 
 TEST(PerfPaths, PointKeyDistinguishesNeighbors)

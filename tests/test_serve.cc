@@ -12,15 +12,20 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <thread>
 
 #include "dnn/models.h"
 #include "explore/tuner.h"
+#include "family/family.h"
 #include "graph/dag.h"
+#include "graph/lower.h"
 #include "ops/ops.h"
 #include "serve/batch_eval.h"
 #include "serve/service.h"
 #include "serve/thread_pool.h"
+#include "space/builder.h"
+#include "support/fault_injector.h"
 #include "support/rng.h"
 
 namespace ft {
@@ -357,10 +362,90 @@ TEST(TuningService, CostModelLifecycleAndStats)
     std::remove(path.c_str());
 }
 
+/** conv(3x3, pad 1) -> relu on a 1x4x8x8 input: one tunable anchor. */
+graph::ComputeDag
+convReluDag()
+{
+    using graph::DagNode;
+    using graph::NodeKind;
+    graph::ComputeDag dag;
+    dag.name = "conv_relu";
+    auto push = [&dag](NodeKind kind, const char *name,
+                       std::vector<int> inputs, std::vector<int64_t> shape) {
+        DagNode n;
+        n.kind = kind;
+        n.name = name;
+        n.inputs = std::move(inputs);
+        n.shape = std::move(shape);
+        dag.nodes.push_back(std::move(n));
+        return static_cast<int>(dag.nodes.size()) - 1;
+    };
+    const int data = push(NodeKind::Input, "data", {}, {1, 4, 8, 8});
+    const int weight = push(NodeKind::Input, "conv.w", {}, {6, 4, 3, 3});
+    const int conv =
+        push(NodeKind::Conv, "conv", {data, weight}, {1, 6, 8, 8});
+    dag.nodes[conv].outChannels = 6;
+    dag.nodes[conv].kernel = 3;
+    dag.nodes[conv].padding = 1;
+    push(NodeKind::Relu, "conv.relu", {conv}, {1, 6, 8, 8});
+    std::string why;
+    EXPECT_TRUE(dag.validate(&why)) << why;
+    return dag;
+}
+
+/** One result-shaping knob: how to flip it away from the defaults. */
+struct KnobRow
+{
+    const char *name;
+    std::function<void(TuneOptions &)> flip;
+    /** Run on a service with its own cost model (prunerKeep needs one). */
+    bool serviceModel = false;
+};
+
+/**
+ * Every option that can change a returned report. `anchor` is the
+ * output of the op the request tunes, for a seed point of its space.
+ */
+std::vector<KnobRow>
+resultShapingKnobs(const Tensor &anchor, const Target &target,
+                   const FaultInjector &faults, CostModel &model,
+                   const std::string &checkpoint)
+{
+    const Point seed =
+        buildSpace(anchorOp(MiniGraph(anchor)), target).initialPoint();
+    return {
+        {"certify", [](TuneOptions &o) { o.certify = true; }},
+        {"saGamma", [](TuneOptions &o) { o.explore.saGamma = 3.0; }},
+        {"epsilon", [](TuneOptions &o) { o.explore.epsilon = 0.2; }},
+        {"qAlpha", [](TuneOptions &o) { o.explore.qAlpha = 0.5; }},
+        {"trainEvery", [](TuneOptions &o) { o.explore.trainEvery = 3; }},
+        {"replayBatch", [](TuneOptions &o) { o.explore.replayBatch = 16; }},
+        {"hidden", [](TuneOptions &o) { o.explore.hidden = 32; }},
+        {"stepOverheadSeconds",
+         [](TuneOptions &o) { o.explore.stepOverheadSeconds = 0.5; }},
+        {"measureParallelism",
+         [](TuneOptions &o) { o.explore.measureParallelism = 1; }},
+        {"seedPoints",
+         [seed](TuneOptions &o) { o.explore.seedPoints = {seed}; }},
+        {"faults",
+         [&faults](TuneOptions &o) {
+             o.explore.resilience.injector = &faults;
+         }},
+        {"checkpointPath",
+         [checkpoint](TuneOptions &o) {
+             o.explore.checkpointPath = checkpoint;
+         }},
+        {"costModel",
+         [&model](TuneOptions &o) { o.explore.costModel = &model; }},
+        {"prunerKeep", [](TuneOptions &o) { o.explore.prunerKeep = 0.5; },
+         /*serviceModel=*/true},
+    };
+}
+
 TEST(TuningService, PruneKnobChangesRequestIdentity)
 {
     // Same workload, same seed: model-on + prune must NOT coalesce
-    // with a model-off request — the fingerprint folds both knobs.
+    // with a model-off request — the request key folds both knobs.
     ServiceOptions service_options;
     service_options.enableCostModel = true;
     service_options.costModel.refitEvery = 16;
@@ -381,6 +466,86 @@ TEST(TuningService, PruneKnobChangesRequestIdentity)
     EXPECT_GT(pruned.gflops, 0.0);
     ServiceStats stats = service.stats();
     EXPECT_EQ(stats.tuningRuns, 2u);
+
+    // The same holds for every other knob that can change a report, on
+    // both the op path and the graph path: a request that differs only
+    // in that knob is a fresh run, never the first request's answer.
+    FaultProfile profile;
+    profile.transient = 0.2;
+    FaultInjector faults(profile);
+    CostModel model{CostModelOptions{}};
+    const std::string checkpoint =
+        ::testing::TempDir() + "ft_request_key_knob.ckpt";
+    Tensor gemm = serveGemm(64);
+    graph::ComputeDag dag = convReluDag();
+    TuneOptions base;
+    base.method = Method::Random;
+    base.explore.trials = 6;
+
+    for (const KnobRow &row :
+         resultShapingKnobs(gemm, target, faults, model, checkpoint)) {
+        SCOPED_TRACE(row.name);
+        ServiceOptions knob_options;
+        knob_options.enableCostModel = row.serviceModel;
+        TuningService svc(knob_options);
+        TuneOptions flipped = base;
+        row.flip(flipped);
+        svc.tune(gemm, target, base);
+        TuneReport report = svc.tune(gemm, target, flipped);
+        EXPECT_FALSE(report.fromCache);
+        EXPECT_EQ(svc.stats().tuningRuns, 2u);
+        if (flipped.certify) {
+            EXPECT_NE(report.certificate, nullptr);
+        }
+        std::remove(checkpoint.c_str());
+    }
+
+    const Tensor conv = graph::lowerAnchor(dag, 2).output;
+    for (const KnobRow &row :
+         resultShapingKnobs(conv, target, faults, model, checkpoint)) {
+        SCOPED_TRACE(std::string("tuneDag ") + row.name);
+        ServiceOptions knob_options;
+        knob_options.enableCostModel = row.serviceModel;
+        TuningService svc(knob_options);
+        TuneOptions flipped = base;
+        row.flip(flipped);
+        svc.tuneDag(dag, target, base);
+        graph::DagTuneReport report = svc.tuneDag(dag, target, flipped);
+        ServiceStats dag_stats = svc.stats();
+        EXPECT_EQ(dag_stats.graphCacheHits, 0u);
+        EXPECT_EQ(dag_stats.tuningRuns, 2u);
+        if (flipped.certify) {
+            EXPECT_NE(report.certificate, nullptr);
+            ASSERT_FALSE(report.groups.empty());
+            EXPECT_NE(report.groups.front().report.certificate, nullptr);
+        }
+        std::remove(checkpoint.c_str());
+    }
+}
+
+TEST(TuningService, ServeShapeRefusesOutOfRangeShape)
+{
+    TuningService service;
+    ShapeVar var;
+    var.name = "m";
+    var.lo = 1;
+    var.hi = 16;
+    ShapeFamily family = gemmOverM(/*n=*/64, /*k=*/64, var);
+    FamilyTuneOptions options;
+    options.method = Method::Random;
+    options.explore.trials = 4;
+
+    FamilyServeResult out =
+        service.serveShape(family, 17, Target::forGpu(v100()), options);
+    EXPECT_FALSE(out.served());
+    EXPECT_EQ(out.outcome, AdmissionOutcome::Shed);
+    EXPECT_NE(out.reason.find("code=FT-ADM-SHAPE-RANGE"), std::string::npos)
+        << out.reason;
+    ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.tuningRuns, 0u);
+    // Refused before admission: no ticket, no breaker state.
+    EXPECT_EQ(stats.admission.admitted, 0u);
+    EXPECT_EQ(stats.admission.openBreakers, 0u);
 }
 
 TEST(TuningService, GraphRequestsAreKeyedByFingerprint)
@@ -448,7 +613,7 @@ TEST(TuningService, SubmitRunsRequestsConcurrently)
 
     std::vector<Tensor> outs = {serveGemm(64), serveGemm(128),
                                 serveGemm(192), serveGemm(256)};
-    std::vector<std::future<TuneReport>> futures;
+    std::vector<std::future<ServedReport>> futures;
     for (const Tensor &out : outs)
         futures.push_back(service.submit(out, target, options));
     for (auto &f : futures) {

@@ -55,15 +55,14 @@
  *   --threads <n>         measurement workers per run     (default 4)
  *   --request-threads <n> concurrent tuning runs          (default 4)
  *   --repeat <n>          passes over the spec list       (default 1)
- *   --admit               route requests through admission control:
- *                         overload sheds with a structured reason
- *                         instead of queueing unboundedly
- *   --request-deadline <sec>  wall deadline per request (with --admit);
- *                         requests that cannot meet it are shed at
- *                         submit time
+ *   --request-deadline <sec>  wall deadline per request; requests
+ *                         that cannot meet it are shed at submit time
  *   --max-queue <n>       admitted-but-incomplete request bound
  *   --brownout <n>        queue depth where brownout (serve from
  *                         caches only) begins
+ *   Every request passes admission control. Without these three flags
+ *   nothing is refused; with them, overload sheds with a structured
+ *   reason instead of queueing unboundedly.
  *   --sim-rate <r>        simulated seconds one wall second of budget
  *                         buys (deadline propagation; default 0 = off)
  *   --dispatch-dir <dir>  persist/reload published dispatch tables
@@ -244,7 +243,7 @@ runService(bool from_stdin, int argc, char **argv)
     double request_deadline = std::numeric_limits<double>::infinity();
     double sim_rate = 0.0, prune_keep = 0.0;
     int max_queue = 0, brownout_depth = 0;
-    bool print_metrics = false, admit = false;
+    bool print_metrics = false;
     FaultProfile faults;
     std::string cost_model_path;
     std::vector<std::string> specs;
@@ -279,13 +278,10 @@ runService(bool from_stdin, int argc, char **argv)
             repeat = std::atoi(argv[++i]);
         } else if (arg("--request-deadline")) {
             request_deadline = std::atof(argv[++i]);
-            admit = true;
         } else if (arg("--max-queue")) {
             max_queue = std::atoi(argv[++i]);
-            admit = true;
         } else if (arg("--brownout")) {
             brownout_depth = std::atoi(argv[++i]);
-            admit = true;
         } else if (arg("--sim-rate")) {
             sim_rate = std::atof(argv[++i]);
         } else if (arg("--dispatch-dir")) {
@@ -296,8 +292,6 @@ runService(bool from_stdin, int argc, char **argv)
             prune_keep = std::atof(argv[++i]);
         } else if (arg("--trace")) {
             trace_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--admit") == 0) {
-            admit = true;
         } else if (std::strcmp(argv[i], "--metrics") == 0) {
             print_metrics = true;
         } else if (argv[i][0] == '-') {
@@ -390,8 +384,7 @@ runService(bool from_stdin, int argc, char **argv)
         RequestOptions request;
         request.priority = RequestPriority::Batch;
         request.deadlineSeconds = request_deadline;
-        std::vector<std::future<AdmittedReport>> admitted_futures;
-        std::vector<std::future<TuneReport>> futures;
+        std::vector<std::future<ServedReport>> futures;
         std::vector<size_t> submitted;
         for (size_t w = 0; w < work.size(); ++w) {
             if (g_drain_requested) {
@@ -401,42 +394,25 @@ runService(bool from_stdin, int argc, char **argv)
                 break;
             }
             submitted.push_back(w);
-            if (admit) {
-                admitted_futures.push_back(service.submitAdmitted(
-                    work[w].second, target, tune_options, request));
-            } else {
-                futures.push_back(
-                    service.submit(work[w].second, target, tune_options));
-            }
+            futures.push_back(service.submit(work[w].second, target,
+                                             tune_options, request));
         }
         for (size_t i = 0; i < submitted.size(); ++i) {
             const char *name = work[submitted[i]].first.c_str();
-            if (admit) {
-                AdmittedReport answer = admitted_futures[i].get();
-                if (!answer.served()) {
-                    std::printf("pass %d  %-10s REJECTED [%s]  %s\n",
-                                pass + 1, name,
-                                admissionOutcomeName(answer.outcome),
-                                answer.reason.c_str());
-                    continue;
-                }
-                const TuneReport &report = *answer.report;
-                std::printf("pass %d  %-10s %8.1f GFLOPS  kernel %8.3f "
-                            "ms  %4d trials%s%s%s\n",
-                            pass + 1, name, report.gflops,
-                            report.kernelSeconds * 1e3, report.trials,
-                            report.fromCache ? "  [cached]" : "",
-                            report.degraded ? "  [degraded]" : "",
-                            answer.degradedAnswer ? "  [brownout]" : "");
-            } else {
-                TuneReport report = futures[i].get();
-                std::printf("pass %d  %-10s %8.1f GFLOPS  kernel %8.3f "
-                            "ms  %4d trials%s%s\n",
-                            pass + 1, name, report.gflops,
-                            report.kernelSeconds * 1e3, report.trials,
-                            report.fromCache ? "  [cached]" : "",
-                            report.degraded ? "  [degraded]" : "");
+            ServedReport report = futures[i].get();
+            if (!report.served()) {
+                std::printf("pass %d  %-10s REJECTED [%s]  %s\n", pass + 1,
+                            name, admissionOutcomeName(report.outcome),
+                            report.reason.c_str());
+                continue;
             }
+            std::printf("pass %d  %-10s %8.1f GFLOPS  kernel %8.3f "
+                        "ms  %4d trials%s%s%s\n",
+                        pass + 1, name, report.gflops,
+                        report.kernelSeconds * 1e3, report.trials,
+                        report.fromCache ? "  [cached]" : "",
+                        report.degraded ? "  [degraded]" : "",
+                        report.degradedAnswer ? "  [brownout]" : "");
         }
         if (g_drain_requested)
             drained = true;
@@ -451,23 +427,21 @@ runService(bool from_stdin, int argc, char **argv)
                     "work finished, flushing state\n");
 
     ServiceStats stats = service.stats();
-    if (admit) {
-        std::printf("\nadmission stats:\n"
-                    "  admitted          %llu\n"
-                    "  shed (queue full) %llu\n"
-                    "  shed (deadline)   %llu\n"
-                    "  brownouts         %llu\n"
-                    "  brownout served   %llu\n"
-                    "  breaker rejects   %llu\n"
-                    "  breakers opened   %llu\n",
-                    (unsigned long long)stats.admission.admitted,
-                    (unsigned long long)stats.admission.shedQueueFull,
-                    (unsigned long long)stats.admission.shedDeadline,
-                    (unsigned long long)stats.admission.brownouts,
-                    (unsigned long long)stats.brownoutServed,
-                    (unsigned long long)stats.admission.breakerRejects,
-                    (unsigned long long)stats.admission.breakersOpened);
-    }
+    std::printf("\nadmission stats:\n"
+                "  admitted          %llu\n"
+                "  shed (queue full) %llu\n"
+                "  shed (deadline)   %llu\n"
+                "  brownouts         %llu\n"
+                "  brownout served   %llu\n"
+                "  breaker rejects   %llu\n"
+                "  breakers opened   %llu\n",
+                (unsigned long long)stats.admission.admitted,
+                (unsigned long long)stats.admission.shedQueueFull,
+                (unsigned long long)stats.admission.shedDeadline,
+                (unsigned long long)stats.admission.brownouts,
+                (unsigned long long)stats.brownoutServed,
+                (unsigned long long)stats.admission.breakerRejects,
+                (unsigned long long)stats.admission.breakersOpened);
     std::printf("\nservice stats:\n"
                 "  requests          %llu\n"
                 "  tuning runs       %llu\n"
