@@ -242,7 +242,8 @@ saveCheckpoint(const std::string &path, const CheckpointState &state)
         writer.append(body);
         return writer.commit(path);
     }
-    return journalAppend(path, kCheckpointKind, body);
+    JournalAppender appender(path, kCheckpointKind);
+    return appender.open(existing) && appender.append(body);
 }
 
 /** Parse one snapshot body (the legacy file format / one frame). */

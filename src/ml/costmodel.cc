@@ -43,7 +43,8 @@ parseDouble(std::istringstream &iss, double &out)
 } // namespace
 
 CostModel::CostModel(CostModelOptions options)
-    : options_(std::move(options))
+    : options_(std::move(options)),
+      journal_(options_.persistPath, kCostModelJournalKind)
 {
 }
 
@@ -63,15 +64,14 @@ CostModel::appendTrialFrame(const CostTrial &trial)
     for (double f : trial.features)
         oss << ' ' << hexDouble(f);
     MutexLock lock(fileMu_);
-    journalAppend(options_.persistPath, kCostModelJournalKind, oss.str());
+    journal_.append(oss.str());
 }
 
 void
 CostModel::appendModelFrame(const GbtModel &model)
 {
     MutexLock lock(fileMu_);
-    journalAppend(options_.persistPath, kCostModelJournalKind,
-                  "m " + model.serialize());
+    journal_.append("m " + model.serialize());
 }
 
 bool
@@ -79,11 +79,19 @@ CostModel::load()
 {
     if (options_.persistPath.empty())
         return false;
-    JournalContents contents = readJournal(options_.persistPath);
-    if (!contents.valid || contents.kind != kCostModelJournalKind)
-        return false;
-    if (contents.torn)
-        truncateToValid(options_.persistPath, contents);
+    JournalContents contents;
+    {
+        // Reopen the appender from this parse: repairing a torn tail
+        // renames a new file into place, and frames must not go on to
+        // the replaced one.
+        MutexLock lock(fileMu_);
+        contents = readJournal(options_.persistPath);
+        if (!contents.valid || contents.kind != kCostModelJournalKind) {
+            journal_.close();
+            return false;
+        }
+        journal_.open(contents);
+    }
 
     std::vector<CostTrial> trials;
     std::shared_ptr<const GbtModel> snapshot;

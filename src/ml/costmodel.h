@@ -20,7 +20,11 @@
  * journal frame and each refit appends the serialized model, so a
  * crash loses at most the in-flight frame; load() replays the journal
  * (tolerating a torn tail) and restores the newest model snapshot
- * bit-identically via the hexfloat GBT serialization.
+ * bit-identically via the hexfloat GBT serialization. The model
+ * validates its journal once (on the first append or in load()) and
+ * then keeps it open, so recording a trial costs one frame write, not
+ * a re-read of the file. A model owns its persistPath: one writer per
+ * path, no two live models on the same file.
  */
 #ifndef FLEXTENSOR_ML_COSTMODEL_H
 #define FLEXTENSOR_ML_COSTMODEL_H
@@ -35,6 +39,7 @@
 
 #include "ml/gbt.h"
 #include "obs/obs.h"
+#include "support/journal.h"
 #include "support/thread_annotations.h"
 
 namespace ft {
@@ -133,6 +138,8 @@ class CostModel
 
     /** Serializes journal appends (requests may record concurrently). */
     Mutex fileMu_;
+    /** Opened lazily on the first append; unused when not persisting. */
+    JournalAppender journal_ FT_GUARDED_BY(fileMu_);
     mutable Mutex mu_;
     std::vector<CostTrial> trials_ FT_GUARDED_BY(mu_);
     /** Immutable once published. */

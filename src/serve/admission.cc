@@ -225,13 +225,18 @@ AdmissionController::onComplete(const std::string &opKey, uint64_t ticket,
                     (1.0 - options_.costEwmaAlpha) * costEwma_;
     }
 
-    Breaker &b = breakers_[opKey];
+    // A closed breaker with no failures acts exactly like a missing
+    // entry, so success erases it: only failing keys stay tracked.
     if (success) {
-        if (b.open && options_.trace)
+        auto bit = breakers_.find(opKey);
+        if (bit == breakers_.end())
+            return;
+        if (bit->second.open && options_.trace)
             options_.trace->point("admission.breaker_close", now,
                                   {tstr("op", opKey)});
-        b = Breaker{};
+        breakers_.erase(bit);
     } else {
+        Breaker &b = breakers_[opKey];
         ++b.consecutiveFailures;
         b.probing = false;
         if (b.consecutiveFailures >= options_.breakerFailureThreshold) {
@@ -275,6 +280,7 @@ AdmissionController::stats() const
     out.breakerRejects = statBreakerRejects_;
     out.breakersOpened = statBreakersOpened_;
     out.queueDepth = inflight_.size();
+    out.trackedBreakers = breakers_.size();
     for (const auto &[key, b] : breakers_) {
         (void)key;
         if (b.open)

@@ -127,6 +127,8 @@ struct AdmissionStats
     uint64_t breakersOpened = 0;
     size_t queueDepth = 0;    ///< admitted-but-incomplete right now
     size_t openBreakers = 0;  ///< op keys currently quarantined
+    /** Op keys with breaker state: failed since their last success. */
+    size_t trackedBreakers = 0;
     double costEstimate = 0.0;///< current EWMA request cost (seconds)
 };
 

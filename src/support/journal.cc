@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "support/logging.h"
 
@@ -241,31 +242,71 @@ JournalWriter::commit(const std::string &path) const
     return true;
 }
 
+JournalAppender::JournalAppender(std::string path, std::string kind)
+    : path_(std::move(path)), kind_(std::move(kind))
+{
+}
+
+bool
+JournalAppender::open(const JournalContents &existing)
+{
+    close();
+    if (!existing.valid || existing.kind != kind_) {
+        // Missing, empty, legacy, or foreign-kind file: the first append
+        // starts a fresh journal atomically so the old contents never
+        // mix with frames.
+        fresh_ = true;
+        return true;
+    }
+    if (existing.torn) {
+        warn("journal ", path_, " has a torn tail (", existing.diag,
+             "); truncating to last valid frame before append");
+        if (!truncateToValid(path_, existing))
+            return false;
+    }
+    out_.open(path_, std::ios::binary | std::ios::app);
+    return out_.is_open();
+}
+
+bool
+JournalAppender::append(std::string_view payload)
+{
+    if (!out_.is_open() && !fresh_ && !open(readJournal(path_)))
+        return false;
+    if (fresh_) {
+        JournalWriter writer(kind_);
+        writer.append(payload);
+        fresh_ = false;
+        if (!writer.commit(path_))
+            return false;
+        out_.open(path_, std::ios::binary | std::ios::app);
+        return true;
+    }
+    const std::string frame = journalFrame(payload);
+    out_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+    out_.flush();
+    if (!out_) {
+        close();
+        return false;
+    }
+    return true;
+}
+
+void
+JournalAppender::close()
+{
+    if (out_.is_open())
+        out_.close();
+    out_.clear();
+    fresh_ = false;
+}
+
 bool
 journalAppend(const std::string &path, const std::string &kind,
               std::string_view payload)
 {
-    JournalContents existing = readJournal(path);
-    if (!existing.valid || existing.kind != kind) {
-        // Missing, empty, legacy, or foreign-kind file: start a fresh
-        // journal atomically so the old contents never mix with frames.
-        JournalWriter writer(kind);
-        writer.append(payload);
-        return writer.commit(path);
-    }
-    if (existing.torn) {
-        warn("journal ", path, " has a torn tail (", existing.diag,
-             "); truncating to last valid frame before append");
-        if (!truncateToValid(path, existing))
-            return false;
-    }
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    if (!out)
-        return false;
-    const std::string frame = journalFrame(payload);
-    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-    out.flush();
-    return static_cast<bool>(out);
+    JournalAppender appender(path, kind);
+    return appender.append(payload);
 }
 
 } // namespace ft

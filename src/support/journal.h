@@ -24,14 +24,22 @@
  *  - JournalWriter assembles a whole journal in memory and commits it
  *    atomically (temp file + rename) — for rewrite-style stores like
  *    the tuning cache and dispatch tables.
- *  - journalAppend() appends one frame to an existing journal file —
- *    for incremental stores like exploration checkpoints, where losing
- *    only the in-flight frame on a crash is the contract.
+ *  - JournalAppender appends frames to a journal file — for incremental
+ *    stores like the cost model and exploration checkpoints, where
+ *    losing only the in-flight frame on a crash is the contract. It
+ *    validates the file once (create, foreign-kind rewrite, torn-tail
+ *    truncation) and then keeps it open, so each further append costs
+ *    one frame write instead of a re-read of the whole file.
+ *    journalAppend() is its one-shot form: validate, append, close.
+ *
+ * Appending assumes one writer per journal path: nothing else may
+ * write or replace the file while an appender holds it open.
  */
 #ifndef FLEXTENSOR_SUPPORT_JOURNAL_H
 #define FLEXTENSOR_SUPPORT_JOURNAL_H
 
 #include <cstdint>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -114,11 +122,57 @@ std::string journalFrame(std::string_view payload);
 std::string journalHeader(const std::string &kind);
 
 /**
- * Append one frame to the journal at `path`. Creates the file (with a
- * header) when missing or empty; rewrites it when it holds a non-journal
- * or different-kind file; truncates a torn tail before appending so the
- * new frame lands on a valid boundary. A crash during the append leaves
- * at worst a torn tail that the next read recovers from.
+ * Appends frames to the journal file at `path`, validating it once.
+ *
+ * Opening readies the file: a missing, empty, non-journal or
+ * different-kind file is replaced by a fresh journal whose header and
+ * first frame are committed atomically (temp file + rename); a torn
+ * tail is truncated so new frames land on a valid boundary. After that
+ * the file stays open in append mode and every append writes one frame
+ * and flushes it (no fsync). On a write or flush error the appender
+ * closes the file, and the next append validates it again.
+ *
+ * One writer per path: the appender trusts that the bytes it validated
+ * are still what is on disk. Whoever rewrites the file (for example
+ * truncateToValid() after a crash) must close() the appender first or
+ * reopen it from the new parse. Not thread-safe; callers serialize.
+ */
+class JournalAppender
+{
+  public:
+    /** @param kind adopter format tag (one token, no whitespace). */
+    JournalAppender(std::string path, std::string kind);
+
+    JournalAppender(const JournalAppender &) = delete;
+    JournalAppender &operator=(const JournalAppender &) = delete;
+
+    /**
+     * Ready the file from `existing`, a parse of the file's current
+     * bytes, without reading it again. Truncates a torn tail in place.
+     * Replaces any earlier open state. False on I/O error.
+     */
+    bool open(const JournalContents &existing);
+
+    /** Append one framed record; reads and readies the file first when
+     *  it is not open. */
+    bool append(std::string_view payload);
+
+    /** Drop the open file; the next append validates it again. */
+    void close();
+
+  private:
+    std::string path_;
+    std::string kind_;
+    std::ofstream out_;
+    /** Validated, but the file must be created afresh with the first
+     *  frame (it was missing, empty, not a journal or another kind). */
+    bool fresh_ = false;
+};
+
+/**
+ * Append one frame to the journal at `path`: the one-shot form of
+ * JournalAppender (validate, append, close), with the same create,
+ * rewrite and torn-tail rules.
  */
 bool journalAppend(const std::string &path, const std::string &kind,
                    std::string_view payload);

@@ -244,6 +244,61 @@ TEST(AdmissionController, ProbeShedByQueueDoesNotWedgeBreaker)
         ctrl.admit("bad", RequestPriority::Batch, 3.0, kInf).admitted());
 }
 
+TEST(AdmissionController, OnlyFailingKeysKeepBreakerState)
+{
+    AdmissionOptions options = plainOptions();
+    options.maxQueueDepth = 8;
+    options.breakerFailureThreshold = 2;
+    options.breakerCooldownSeconds = 10.0;
+    AdmissionController ctrl(options);
+    auto run = [&](const std::string &key, double now, bool success) {
+        AdmissionDecision d =
+            ctrl.admit(key, RequestPriority::Batch, now, kInf);
+        EXPECT_TRUE(d.admitted()) << key;
+        if (d.admitted())
+            ctrl.onComplete(key, d.ticket, now, success);
+    };
+
+    // A long-running service sees many distinct shapes; keys that only
+    // ever succeed must leave nothing behind.
+    for (int i = 0; i < 1000; ++i)
+        run("op" + std::to_string(i), 0.0, true);
+    EXPECT_EQ(ctrl.stats().trackedBreakers, 0u);
+
+    // One failure below the threshold is tracked but does not open.
+    run("bad", 1.0, false);
+    EXPECT_EQ(ctrl.stats().trackedBreakers, 1u);
+    EXPECT_EQ(ctrl.stats().openBreakers, 0u);
+    EXPECT_FALSE(ctrl.breakerOpen("bad", 1.0));
+
+    // The second consecutive failure opens it; the cooldown rejects.
+    run("bad", 2.0, false);
+    EXPECT_TRUE(ctrl.breakerOpen("bad", 5.0));
+    EXPECT_EQ(ctrl.stats().openBreakers, 1u);
+    EXPECT_EQ(ctrl.admit("bad", RequestPriority::Batch, 5.0, kInf).outcome,
+              AdmissionOutcome::BreakerOpen);
+
+    // Half-open: one probe passes, a second is rejected while it runs.
+    AdmissionDecision probe =
+        ctrl.admit("bad", RequestPriority::Batch, 12.0, kInf);
+    ASSERT_TRUE(probe.admitted());
+    EXPECT_EQ(ctrl.admit("bad", RequestPriority::Batch, 12.0, kInf)
+                  .outcome,
+              AdmissionOutcome::BreakerOpen);
+
+    // The successful probe closes the breaker and drops the entry.
+    ctrl.onComplete("bad", probe.ticket, 13.0, true);
+    EXPECT_FALSE(ctrl.breakerOpen("bad", 13.0));
+    EXPECT_EQ(ctrl.stats().trackedBreakers, 0u);
+    EXPECT_EQ(ctrl.stats().openBreakers, 0u);
+    EXPECT_EQ(ctrl.stats().breakersOpened, 1u);
+
+    // Counting starts over: one failure after the close does not open.
+    run("bad", 14.0, false);
+    EXPECT_FALSE(ctrl.breakerOpen("bad", 14.0));
+    EXPECT_EQ(ctrl.stats().trackedBreakers, 1u);
+}
+
 TEST(AdmissionController, EarlyCompletionReleasesReservationAndFeedsEwma)
 {
     AdmissionOptions options = plainOptions();

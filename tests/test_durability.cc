@@ -16,6 +16,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "explore/checkpoint.h"
 #include "explore/tuner.h"
@@ -153,6 +154,122 @@ TEST(Journal, EverySeededCrashOffsetRecoversCommittedFrames)
 }
 
 // ---------------------------------------------------------------------
+// The validate-once appender.
+
+/** Crash-schedule seed for the sweeps: FT_CRASH_SEED when set. */
+uint64_t
+crashSeed(uint64_t fallback)
+{
+    if (const char *env = std::getenv("FT_CRASH_SEED"))
+        return std::strtoull(env, nullptr, 0);
+    return fallback;
+}
+
+TEST(JournalAppender, MatchesOneShotAppendByteForByte)
+{
+    // The oracle: one long-lived appender must leave exactly the bytes
+    // that re-validating journalAppend calls leave, from every starting
+    // state the validation handles.
+    JournalWriter same("test");
+    same.append("old-one");
+    same.append("old-two");
+    JournalWriter foreign("other");
+    foreign.append("foreign-record");
+    const std::string torn =
+        same.bytes() + journalFrame("in-flight").substr(0, 9);
+    struct Start
+    {
+        const char *name;
+        bool exists;
+        std::string bytes;
+    };
+    const std::vector<Start> starts = {
+        {"missing", false, ""},
+        {"empty", true, ""},
+        {"not-a-journal", true, "legacy text\n"},
+        {"foreign-kind", true, foreign.bytes()},
+        {"clean", true, same.bytes()},
+        {"torn-tail", true, torn},
+        {"torn-header", true, same.bytes().substr(0, 5)},
+    };
+    const std::vector<std::string> payloads = {
+        "alpha", "", "gamma\nwith a newline", std::string(3000, 'x'),
+        "omega"};
+
+    const std::string a = ::testing::TempDir() + "ft_appender_a.j";
+    const std::string b = ::testing::TempDir() + "ft_appender_b.j";
+    for (const Start &start : starts) {
+        std::remove(a.c_str());
+        std::remove(b.c_str());
+        if (start.exists) {
+            writeBytes(a, start.bytes);
+            writeBytes(b, start.bytes);
+        }
+        JournalAppender appender(a, "test");
+        for (size_t i = 0; i < payloads.size(); ++i) {
+            ASSERT_TRUE(appender.append(payloads[i])) << start.name;
+            ASSERT_TRUE(journalAppend(b, "test", payloads[i]))
+                << start.name;
+            ASSERT_EQ(readBytes(a), readBytes(b))
+                << start.name << " after append " << i;
+        }
+        JournalContents parsed = readJournal(a);
+        EXPECT_TRUE(parsed.valid) << start.name;
+        EXPECT_FALSE(parsed.torn) << start.name;
+        ASSERT_GE(parsed.records.size(), payloads.size()) << start.name;
+        EXPECT_EQ(parsed.records.back(), payloads.back()) << start.name;
+    }
+    std::remove(a.c_str());
+    std::remove(b.c_str());
+}
+
+TEST(JournalAppender, EverySeededCrashOffsetResumesOnAFrameBoundary)
+{
+    // A writer appends three frames and crashes mid-file; a new
+    // appender must keep every intact frame, drop the torn bytes and
+    // land its frame on a clean boundary — at every seeded offset,
+    // including ones inside the header.
+    const std::string path = ::testing::TempDir() + "ft_appender_crash.j";
+    std::remove(path.c_str());
+    {
+        JournalAppender writer(path, "test");
+        ASSERT_TRUE(writer.append("first"));
+        ASSERT_TRUE(writer.append("second\nrecord"));
+        ASSERT_TRUE(writer.append("third"));
+    }
+    const std::string bytes = readBytes(path);
+    ASSERT_EQ(parseJournal(bytes).records.size(), 3u);
+
+    const uint64_t profile_seed = crashSeed(0xa99e);
+    FaultProfile profile;
+    profile.seed = profile_seed;
+    FaultInjector injector(profile);
+    for (uint64_t schedule = 0; schedule < 16; ++schedule) {
+        const size_t crash_at =
+            injector.crashOffsetFor(path, bytes.size(), schedule) %
+            bytes.size();
+        ASSERT_TRUE(FaultInjector::writeTorn(path, bytes, crash_at));
+        const JournalContents before = readJournal(path);
+
+        JournalAppender resumed(path, "test");
+        ASSERT_TRUE(resumed.append("after-crash"));
+        ASSERT_TRUE(resumed.append("after-crash-2"));
+
+        JournalWriter expected("test");
+        if (before.valid) {
+            for (const std::string &rec : before.records)
+                expected.append(rec);
+        }
+        expected.append("after-crash");
+        expected.append("after-crash-2");
+        EXPECT_EQ(readBytes(path), expected.bytes())
+            << "crash seed " << profile_seed << " schedule " << schedule
+            << " offset " << crash_at;
+    }
+    std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------
 // Checkpoint journal adopters.
 
 Tensor
@@ -263,9 +380,7 @@ TEST_F(CheckpointDurability, SeededCrashScheduleNeverLosesOlderSnapshot)
 
     // The environment-seeded crash schedule: tear during the append of
     // the newest frame, at injector-chosen offsets.
-    uint64_t profile_seed = 0x5eed;
-    if (const char *env = std::getenv("FT_CRASH_SEED"))
-        profile_seed = std::strtoull(env, nullptr, 0);
+    const uint64_t profile_seed = crashSeed(0x5eed);
     FaultProfile profile;
     profile.seed = profile_seed;
     FaultInjector injector(profile);
@@ -556,6 +671,39 @@ TEST(CostModelDurability, SurvivesEverySeededCrashOffset)
             }
         }
     }
+    std::remove(path.c_str());
+}
+
+TEST(CostModelDurability, LoadAfterRecordAppendsToLiveFile)
+{
+    // load() on a model that already holds its journal open repairs a
+    // torn tail by renaming a new file into place; frames recorded
+    // afterwards must go to that file, not the replaced one.
+    const std::string path = ::testing::TempDir() + "ft_costmodel_live.j";
+    std::remove(path.c_str());
+    CostModelOptions options;
+    options.persistPath = path;
+    CostModel model(options);
+    for (int i = 0; i < 6; ++i)
+        model.recordTrial({i / 6.0, 1.0 - i / 6.0}, i + 1.0, 11);
+
+    const std::string bytes = readBytes(path);
+    ASSERT_TRUE(FaultInjector::writeTorn(path, bytes, bytes.size() - 10));
+    ASSERT_TRUE(model.load());
+    EXPECT_EQ(model.numTrials(), 5u);
+
+    model.recordTrial({0.5, 0.5}, 42.0, 11);
+    JournalContents after = readJournal(path);
+    ASSERT_TRUE(after.valid);
+    EXPECT_FALSE(after.torn);
+    ASSERT_EQ(after.records.size(), 6u);
+    EXPECT_EQ(after.records.back().rfind("t b 0x1.5p+5 2 ", 0), 0u)
+        << after.records.back();
+
+    // And a reload sees exactly what the live model recorded.
+    CostModel reloaded(options);
+    ASSERT_TRUE(reloaded.load());
+    EXPECT_EQ(reloaded.numTrials(), 6u);
     std::remove(path.c_str());
 }
 
