@@ -2,213 +2,181 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <sstream>
 #include <unordered_set>
 
+#include "explore/driver.h"
 #include "ml/costmodel.h"
 #include "ml/gbt.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "support/logging.h"
-#include "support/rng.h"
 
 namespace ft {
+
+namespace {
+
+/**
+ * AutoTVM-style search (Section 6.5): each round ranks a pool of random
+ * candidates with a per-run GBT model and measures an epsilon-greedy
+ * batch of them. The budget counts measurements, not rounds.
+ */
+class AutoTvmPolicy : public SearchPolicy
+{
+  public:
+    AutoTvmPolicy(const ScheduleSpace &space, const ExploreOptions &options)
+        : space_(space),
+          options_(options),
+          fitCounter_(maybeCounter(options.obs.metrics, "autotvm.model_fits"))
+    {}
+
+    Method method() const override { return Method::AutoTvm; }
+    int spent(int) const override { return measured_; }
+    const char *budgetUnit() const override { return "measured"; }
+
+    bool step(SearchContext &ctx, int) override;
+    bool restore(const CheckpointState &state) override;
+    void save(CheckpointState &state) const override;
+
+  private:
+    static constexpr int kBatch = 8;   ///< measured configs per round
+    static constexpr int kPool = 96;   ///< ranked candidates per round
+    /** Simulated seconds per round for the model fit and ranking. */
+    static constexpr double kModelOverhead = 2.0;
+
+    const ScheduleSpace &space_;
+    const ExploreOptions &options_;
+    GbtModel model_;
+    GbtOptions gbtOptions_;
+    int measured_ = 0;
+    /** The GBT's training set: every entry of H, in commit order. */
+    std::vector<std::vector<double>> trainX_;
+    std::vector<double> trainY_;
+    DecodeScratch decodeScratch_;
+    std::vector<double> feat_;
+    Counter *fitCounter_;
+};
+
+bool
+AutoTvmPolicy::step(SearchContext &ctx, int)
+{
+    Evaluator &eval = ctx.eval;
+    TraceRecorder *trace = options_.obs.trace;
+    // Candidate pool: random points ranked by the cost model (pure
+    // random before the model has data).
+    std::vector<Point> candidates;
+    for (int i = 0; i < kPool; ++i) {
+        Point p = space_.randomPoint(ctx.rng);
+        if (!eval.known(p))
+            candidates.push_back(std::move(p));
+    }
+    if (candidates.empty())
+        return false;
+    // Cold rounds: the per-run GBT has no data yet, so the persistent
+    // model ranks the pool instead of leaving it in random order.
+    const bool persistent_rank = !model_.trained() &&
+                                 options_.costModel != nullptr &&
+                                 options_.costModel->ready();
+    // With pruning on, epsilon-greedy only draws from the ranked top
+    // fraction of the pool (never fewer than one batch).
+    const size_t pool = candidates.size();
+    size_t keep = pool;
+    if (pruningActive(options_) && (model_.trained() || persistent_rank)) {
+        keep = std::max<size_t>(
+            kBatch, static_cast<size_t>(std::ceil(
+                        options_.prunerKeep * static_cast<double>(pool))));
+    }
+    if (persistent_rank || model_.trained()) {
+        rankPoints(candidates, keep, [&](const Point &p) {
+            if (persistent_rank) {
+                eval.costFeaturesFor(p, feat_);
+                return options_.costModel->predict(feat_);
+            }
+            space_.featuresInto(p, decodeScratch_, feat_);
+            return model_.predict(feat_);
+        });
+    }
+    if (keep < pool)
+        ctx.notePrune(pool, keep);
+
+    // Epsilon-greedy batch: mostly top-ranked, some random. Picks are
+    // selected first, then measured as one parallel batch; the
+    // selection's RNG stream and the resulting H match the
+    // point-at-a-time equivalent exactly.
+    const int take =
+        std::min<int>(kBatch, static_cast<int>(candidates.size()));
+    std::vector<Point> picks;
+    std::unordered_set<PointKey> picked_keys;
+    for (int i = 0;
+         i < take &&
+         measured_ + static_cast<int>(picks.size()) < options_.trials;
+         ++i) {
+        size_t pick = i;
+        if (ctx.rng.chance(options_.epsilon))
+            pick = ctx.rng.index(candidates.size());
+        const Point &p = candidates[pick];
+        const PointKey key = p.key64();
+        if (eval.known(key) || !picked_keys.insert(key).second)
+            continue;
+        picks.push_back(p);
+    }
+    ctx.reval.evaluate(picks);
+    measured_ += static_cast<int>(picks.size());
+
+    // Refit the model on everything measured so far: the seed points
+    // and every pick, which H holds in commit order.
+    const std::vector<Evaluated> &history = eval.history();
+    for (size_t i = trainY_.size(); i < history.size(); ++i) {
+        trainX_.push_back(space_.features(history[i].point));
+        trainY_.push_back(history[i].gflops);
+    }
+    if (trace) {
+        trace->begin("model_fit", eval.simulatedSeconds(),
+                     {tint("samples", static_cast<int64_t>(trainX_.size()))});
+    }
+    model_.fit(trainX_, trainY_, gbtOptions_, ctx.rng);
+    eval.chargeOverhead(kModelOverhead);
+    if (trace)
+        trace->end("model_fit", eval.simulatedSeconds());
+    if (fitCounter_)
+        fitCounter_->add();
+    return true;
+}
+
+bool
+AutoTvmPolicy::restore(const CheckpointState &state)
+{
+    // "<measured> <GbtModel::serialize() tokens>"; the training set is
+    // rebuilt from the restored H on the next step.
+    std::istringstream in(state.methodState);
+    int measured = 0;
+    if (!(in >> measured) || measured < 0)
+        return false;
+    const std::string rest{std::istreambuf_iterator<char>(in), {}};
+    GbtModel model;
+    if (!model.deserialize(rest))
+        return false;
+    measured_ = measured;
+    model_ = std::move(model);
+    return true;
+}
+
+void
+AutoTvmPolicy::save(CheckpointState &state) const
+{
+    // One checkpoint line: deserialize() tokenizes on any whitespace.
+    std::string model = model_.serialize();
+    std::replace(model.begin(), model.end(), '\n', ' ');
+    state.methodState = std::to_string(measured_) + " " + model;
+}
+
+} // namespace
 
 ExploreResult
 exploreAutoTvm(Evaluator &eval, const ExploreOptions &options)
 {
-    Rng rng(options.seed);
-    const ScheduleSpace &space = eval.space();
-    eval.setObs(options.obs);
-    eval.setCostModel(options.costModel);
-    TraceRecorder *trace = options.obs.trace;
-    Counter *step_counter = maybeCounter(options.obs.metrics,
-                                         "explore.steps");
-    Counter *fit_counter = maybeCounter(options.obs.metrics,
-                                        "autotvm.model_fits");
-    ResilientEvaluator reval(eval, options.evalPool,
-                             options.measureParallelism, options.resilience);
-    if (!options.checkpointPath.empty()) {
-        warn("AutoTVM search does not support checkpoint/resume; "
-             "ignoring ", options.checkpointPath);
-    }
-
-    GbtModel model;
-    GbtOptions gbt_options;
-    std::vector<std::vector<double>> train_x;
-    std::vector<double> train_y;
-
-    // Reused ranking buffers (one model query per candidate per round;
-    // the former comparator form re-ran predict O(n log n) times).
-    DecodeScratch decode_scratch;
-    std::vector<double> feat;
-    std::vector<double> scores;
-    std::vector<size_t> rank;
-
-    const int batch = 8;         // measured configs per round
-    const int pool = 96;         // ranked candidates per round
-    const double model_overhead = 2.0; // seconds per round: fit + rank
-
-    bool deadline_exceeded = false;
-    int measured = 0;
-    while (measured < options.trials) {
-        if (options.targetGflops > 0.0 &&
-            eval.best() >= options.targetGflops) {
-            break;
-        }
-        if (options.deadlineSimSeconds > 0.0 &&
-            eval.simulatedSeconds() >= options.deadlineSimSeconds) {
-            deadline_exceeded = true;
-            break;
-        }
-        if (trace) {
-            trace->begin("step", eval.simulatedSeconds(),
-                         {tint("measured", measured)});
-        }
-        // Candidate pool: random points ranked by the cost model (pure
-        // random before the model has data).
-        std::vector<Point> candidates;
-        for (int i = 0; i < pool; ++i) {
-            Point p = space.randomPoint(rng);
-            if (!eval.known(p))
-                candidates.push_back(std::move(p));
-        }
-        if (candidates.empty()) {
-            if (trace)
-                trace->end("step", eval.simulatedSeconds());
-            break;
-        }
-        const bool persistent_rank =
-            !model.trained() && options.costModel != nullptr &&
-            options.costModel->ready();
-        if (persistent_rank) {
-            // Cold rounds: the per-run GBT has no data yet, so the
-            // persistent model ranks the pool instead of leaving it in
-            // random order.
-            scores.resize(candidates.size());
-            std::vector<double> cost_feat;
-            for (size_t i = 0; i < candidates.size(); ++i) {
-                eval.costFeaturesFor(candidates[i], cost_feat);
-                scores[i] = options.costModel->predict(cost_feat);
-            }
-            rank.resize(candidates.size());
-            for (size_t i = 0; i < rank.size(); ++i)
-                rank[i] = i;
-            std::stable_sort(rank.begin(), rank.end(),
-                             [&](size_t a, size_t b) {
-                                 return scores[a] > scores[b];
-                             });
-            std::vector<Point> ranked;
-            ranked.reserve(candidates.size());
-            for (size_t i : rank)
-                ranked.push_back(std::move(candidates[i]));
-            candidates = std::move(ranked);
-        }
-        if (model.trained()) {
-            // Stable-sorting precomputed scores yields the exact
-            // permutation the predict-in-comparator form produced
-            // (predict is pure, so every comparison saw these values).
-            scores.resize(candidates.size());
-            for (size_t i = 0; i < candidates.size(); ++i) {
-                space.featuresInto(candidates[i], decode_scratch, feat);
-                scores[i] = model.predict(feat);
-            }
-            rank.resize(candidates.size());
-            for (size_t i = 0; i < rank.size(); ++i)
-                rank[i] = i;
-            std::stable_sort(rank.begin(), rank.end(),
-                             [&](size_t a, size_t b) {
-                                 return scores[a] > scores[b];
-                             });
-            std::vector<Point> ranked;
-            ranked.reserve(candidates.size());
-            for (size_t i : rank)
-                ranked.push_back(std::move(candidates[i]));
-            candidates = std::move(ranked);
-        }
-        // With pruning on, epsilon-greedy only draws from the ranked
-        // top fraction of the pool (never fewer than one batch).
-        if (options.costModel != nullptr && options.prunerKeep > 0.0 &&
-            options.costModel->ready() &&
-            (model.trained() || persistent_rank)) {
-            const size_t keep = std::max<size_t>(
-                static_cast<size_t>(batch),
-                static_cast<size_t>(std::ceil(
-                    options.prunerKeep *
-                    static_cast<double>(candidates.size()))));
-            if (keep < candidates.size()) {
-                if (trace) {
-                    trace->point(
-                        "costmodel.prune", eval.simulatedSeconds(),
-                        {tint("considered",
-                              static_cast<int64_t>(candidates.size())),
-                         tint("kept", static_cast<int64_t>(keep))});
-                }
-                if (options.obs.metrics) {
-                    options.obs.metrics->counter("costmodel.prune.kept")
-                        .add(keep);
-                    options.obs.metrics
-                        ->counter("costmodel.prune.dropped")
-                        .add(candidates.size() - keep);
-                }
-                candidates.resize(keep);
-            }
-        }
-        // Epsilon-greedy batch: mostly top-ranked, some random. Picks are
-        // selected first, then measured as one parallel batch; the
-        // selection's RNG stream and the resulting H match the
-        // point-at-a-time equivalent exactly.
-        int take = std::min<int>(batch, static_cast<int>(candidates.size()));
-        std::vector<Point> picks;
-        std::unordered_set<PointKey> picked_keys;
-        for (int i = 0;
-             i < take &&
-             measured + static_cast<int>(picks.size()) < options.trials;
-             ++i) {
-            size_t pick = i;
-            if (rng.chance(options.epsilon))
-                pick = rng.index(candidates.size());
-            const Point &p = candidates[pick];
-            const PointKey key = p.key64();
-            if (eval.known(key) || !picked_keys.insert(key).second)
-                continue;
-            picks.push_back(p);
-        }
-        std::vector<double> values = reval.evaluate(picks);
-        for (size_t i = 0; i < picks.size(); ++i) {
-            train_x.push_back(space.features(picks[i]));
-            train_y.push_back(values[i]);
-        }
-        measured += static_cast<int>(picks.size());
-        // Refit the cost model on everything measured so far.
-        if (trace) {
-            trace->begin("model_fit", eval.simulatedSeconds(),
-                         {tint("samples",
-                               static_cast<int64_t>(train_x.size()))});
-        }
-        model.fit(train_x, train_y, gbt_options, rng);
-        eval.chargeOverhead(model_overhead);
-        if (trace)
-            trace->end("model_fit", eval.simulatedSeconds());
-        if (fit_counter)
-            fit_counter->add();
-        if (trace)
-            trace->end("step", eval.simulatedSeconds());
-        if (step_counter)
-            step_counter->add();
-    }
-
-    ExploreResult out;
-    out.bestPoint = eval.bestPoint();
-    out.bestGflops = eval.best();
-    out.trialsUsed = eval.numTrials();
-    out.simSeconds = eval.simulatedSeconds();
-    out.curve = eval.curve();
-    out.deadlineExceeded = deadline_exceeded;
-    out.failures = reval.stats().failures;
-    out.retries = reval.stats().retries;
-    out.timeouts = reval.stats().timeouts;
-    out.quarantined = reval.stats().quarantined;
-    return out;
+    AutoTvmPolicy policy(eval.space(), options);
+    return runSearch(eval, options, policy);
 }
 
 } // namespace ft

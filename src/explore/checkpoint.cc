@@ -111,28 +111,6 @@ keyed(const std::string &field, const char *key, std::string *out)
     return true;
 }
 
-/** v1 quarantine entry: a legacy Point::key() string ("12;0;3;"). */
-bool
-parseLegacyKey(const std::string &text, std::vector<int64_t> *out)
-{
-    out->clear();
-    if (text.empty())
-        return false;
-    std::istringstream cells(text);
-    std::string cell;
-    while (std::getline(cells, cell, ';')) {
-        try {
-            size_t pos = 0;
-            out->push_back(std::stoll(cell, &pos));
-            if (pos != cell.size())
-                return false;
-        } catch (...) {
-            return false;
-        }
-    }
-    return !out->empty();
-}
-
 } // namespace
 
 std::string
@@ -148,8 +126,7 @@ constexpr char kCheckpointKind[] = "ckpt";
 
 /**
  * Render one snapshot as the versioned line-oriented text body (header
- * line through the `end|n=` count footer). This is the exact format the
- * legacy whole-file checkpoints used, now carried as one journal frame.
+ * line through the `end|n=` count footer), carried as one journal frame.
  */
 static std::string
 serializeCheckpointBody(const CheckpointState &state)
@@ -162,7 +139,6 @@ serializeCheckpointBody(const CheckpointState &state)
     };
 
     {
-        // v2: quarantine entries are point coordinates, not string keys.
         std::ostringstream oss;
         oss << "ftckpt|v=2|method=" << state.method
             << "|seed=" << state.seed << "|space=" << state.spaceSig
@@ -220,6 +196,8 @@ serializeCheckpointBody(const CheckpointState &state)
         appendIdx(oss, p.idx);
         emit(oss.str());
     }
+    if (!state.methodState.empty())
+        emit("m|" + state.methodState);
     body << "end|n=" << lines << "\n";
     return body.str();
 }
@@ -246,13 +224,12 @@ saveCheckpoint(const std::string &path, const CheckpointState &state)
     return appender.open(existing) && appender.append(body);
 }
 
-/** Parse one snapshot body (the legacy file format / one frame). */
+/** Parse one snapshot body (one journal frame). */
 static std::optional<CheckpointState>
 parseCheckpointBody(const std::string &text)
 {
     CheckpointState state;
     bool saw_header = false, saw_end = false, ok = true;
-    int version = 0;
     size_t lines = 0, declared = 0;
     std::string line;
     std::istringstream in(text);
@@ -268,9 +245,7 @@ parseCheckpointBody(const std::string &text)
         std::string value;
         if (tag == "ftckpt") {
             ok = fields.size() == 6 && keyed(fields[1], "v", &value) &&
-                 (value == "1" || value == "2");
-            if (ok)
-                version = value == "1" ? 1 : 2;
+                 value == "2";
             if (ok)
                 ok = keyed(fields[2], "method", &state.method) &&
                      keyed(fields[3], "seed", &value) &&
@@ -332,11 +307,13 @@ parseCheckpointBody(const std::string &text)
                  parseU64(fields[5], &state.stats.quarantined);
         } else if (tag == "q") {
             Point p;
-            ok = fields.size() == 2 &&
-                 (version == 2 ? parseIdx(fields[1], &p.idx)
-                               : parseLegacyKey(fields[1], &p.idx));
+            ok = fields.size() == 2 && parseIdx(fields[1], &p.idx);
             if (ok)
                 state.quarantine.push_back(std::move(p));
+        } else if (tag == "m") {
+            ok = fields.size() == 2;
+            if (ok)
+                state.methodState = fields[1];
         } else if (tag == "end") {
             ok = fields.size() == 2 && keyed(fields[1], "n", &value) &&
                  parseU64(value, &declared);
@@ -357,23 +334,9 @@ parseCheckpointBody(const std::string &text)
 std::optional<CheckpointState>
 loadCheckpoint(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    if (!std::ifstream(path))
         return std::nullopt; // a missing checkpoint is a normal first run
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string bytes = buf.str();
-    in.close();
-
-    if (!looksLikeJournal(bytes)) {
-        // Legacy pre-journal checkpoint: the whole file is one body.
-        auto state = parseCheckpointBody(bytes);
-        if (!state)
-            warn("ignoring truncated or corrupt checkpoint ", path);
-        return state;
-    }
-
-    JournalContents journal = parseJournal(bytes);
+    JournalContents journal = readJournal(path);
     if (!journal.valid || journal.kind != kCheckpointKind) {
         warn("ignoring corrupt checkpoint journal ", path, " (",
              journal.diag.empty() ? "wrong journal kind" : journal.diag,
@@ -427,36 +390,6 @@ checkpointCompatible(const CheckpointState &state, const std::string &method,
             return false;
     }
     return true;
-}
-
-CheckpointState
-captureCommon(const std::string &method, uint64_t seed, int nextTrial,
-              const Evaluator &eval, const Rng &rng,
-              const ResilientEvaluator &reval)
-{
-    CheckpointState state;
-    state.method = method;
-    state.seed = seed;
-    state.spaceSig = spaceSignature(eval.space());
-    state.trial = nextTrial;
-    state.simSeconds = eval.simulatedSeconds();
-    state.rng = rng.state();
-    state.history = eval.history();
-    state.commitSim.reserve(eval.curve().size());
-    for (const auto &entry : eval.curve())
-        state.commitSim.push_back(entry.first);
-    state.stats = reval.stats();
-    state.quarantine = reval.quarantine();
-    return state;
-}
-
-void
-restoreCommon(const CheckpointState &state, Evaluator &eval, Rng &rng,
-              ResilientEvaluator &reval)
-{
-    eval.restore(state.history, state.commitSim, state.simSeconds);
-    rng.setState(state.rng);
-    reval.restore(state.stats, state.quarantine);
 }
 
 } // namespace ft

@@ -11,7 +11,8 @@
  *    cost model with batched epsilon-greedy measurement (Section 6.5).
  *
  * All methods share the Evaluator, so trial counts and the simulated
- * exploration clock are directly comparable.
+ * exploration clock are directly comparable, and all run through the
+ * one search loop in explore/driver.h.
  */
 #ifndef FLEXTENSOR_EXPLORE_EXPLORER_H
 #define FLEXTENSOR_EXPLORE_EXPLORER_H
@@ -27,6 +28,12 @@
 namespace ft {
 
 class CostModel;
+
+/** Which exploration method to run. */
+enum class Method { QMethod, PMethod, Random, AutoTvm };
+
+/** Human-readable method name (also the checkpoint method tag). */
+std::string methodName(Method method);
 
 /** Options shared by the exploration methods. */
 struct ExploreOptions
@@ -75,7 +82,7 @@ struct ExploreOptions
      * state every checkpointEveryTrials outer trials, and on start
      * resumes from a compatible snapshot at this path; a resumed run
      * with the same seed and fault profile is bit-identical to an
-     * uninterrupted one. Not supported by Method::AutoTvm.
+     * uninterrupted one.
      */
     std::string checkpointPath;
     int checkpointEveryTrials = 10;
@@ -140,6 +147,10 @@ ExploreResult exploreRandom(Evaluator &eval, const ExploreOptions &options);
  * SpaceOptions::templateRestricted).
  */
 ExploreResult exploreAutoTvm(Evaluator &eval, const ExploreOptions &options);
+
+/** Run `method`: the one dispatch from Method to its explorer. */
+ExploreResult exploreWith(Method method, Evaluator &eval,
+                          const ExploreOptions &options);
 
 } // namespace ft
 

@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
+#include <unordered_map>
 
-#include "explore/checkpoint.h"
+#include "explore/driver.h"
 #include "explore/sa.h"
 #include "ml/costmodel.h"
 #include "nn/mlp.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "support/logging.h"
-#include "support/rng.h"
 
 namespace ft {
 
@@ -53,220 +53,306 @@ keepCount(double keep, size_t n)
                std::ceil(keep * static_cast<double>(n))));
 }
 
-/** True when the options ask for model-guided candidate pruning and a
- *  trained snapshot is available to score with. */
-bool
-pruningActive(const ExploreOptions &options)
-{
-    return options.costModel != nullptr && options.prunerKeep > 0.0 &&
-           options.costModel->ready();
-}
-
 /**
  * Keep only the top prunerKeep fraction of `points` by predicted rank
- * score (stable order among survivors). Emits the costmodel.prune trace
- * point and kept/dropped counters.
+ * score (stable order among survivors).
  */
 void
-pruneCandidates(Evaluator &eval, const ExploreOptions &options,
-                std::vector<Point> &points, std::vector<double> &feat,
-                std::vector<double> &scores, std::vector<size_t> &order)
+pruneCandidates(SearchContext &ctx, std::vector<Point> &points)
 {
     const size_t n = points.size();
-    const size_t keep = keepCount(options.prunerKeep, n);
+    const size_t keep = keepCount(ctx.options.prunerKeep, n);
     if (keep >= n)
         return;
-    CostModel &model = *options.costModel;
-    scores.resize(n);
-    order.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        eval.costFeaturesFor(points[i], feat);
-        scores[i] = model.predict(feat);
-        order[i] = i;
-    }
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return scores[a] > scores[b];
+    std::vector<double> feat;
+    rankPoints(points, keep, [&](const Point &p) {
+        ctx.eval.costFeaturesFor(p, feat);
+        return ctx.options.costModel->predict(feat);
     });
-    std::vector<Point> kept;
-    kept.reserve(keep);
-    for (size_t i = 0; i < keep; ++i)
-        kept.push_back(std::move(points[order[i]]));
-    points.swap(kept);
-    if (options.obs.trace) {
-        options.obs.trace->point(
-            "costmodel.prune", eval.simulatedSeconds(),
-            {tint("considered", static_cast<int64_t>(n)),
-             tint("kept", static_cast<int64_t>(keep))});
-    }
-    if (options.obs.metrics) {
-        options.obs.metrics->counter("costmodel.prune.kept").add(keep);
-        options.obs.metrics->counter("costmodel.prune.dropped")
-            .add(n - keep);
-    }
-}
-
-/** Seed H with random points so SA has something to choose from. */
-void
-warmup(ResilientEvaluator &reval, Rng &rng, const ExploreOptions &options)
-{
-    // One parallel measurement batch: seeds, random warmup, and the
-    // deterministic initial point, committed in that order.
-    Evaluator &eval = reval.evaluator();
-    const ScheduleSpace &space = eval.space();
-    std::vector<Point> points = options.seedPoints;
-    points.reserve(points.size() + options.warmupPoints + 1);
-    CostModel *model = options.costModel;
-    const bool warm = model != nullptr && model->ready() &&
-                      options.warmupPoints > 0;
-    if (warm) {
-        // Model warm-start: oversample random candidates, rank them
-        // with the persistent model, and seed from the top-ranked
-        // subset instead of the raw draws. The extra RNG draws only
-        // happen with a model attached, so model-off runs keep their
-        // pinned digests.
-        const int oversample = 4 * options.warmupPoints;
-        std::vector<Point> cands;
-        cands.reserve(oversample);
-        for (int i = 0; i < oversample; ++i)
-            cands.push_back(space.randomPoint(rng));
-        std::vector<double> feat, scores(cands.size());
-        std::vector<size_t> order(cands.size());
-        for (size_t i = 0; i < cands.size(); ++i) {
-            eval.costFeaturesFor(cands[i], feat);
-            scores[i] = model->predict(feat);
-            order[i] = i;
-        }
-        std::stable_sort(order.begin(), order.end(),
-                         [&](size_t a, size_t b) {
-                             return scores[a] > scores[b];
-                         });
-        for (int i = 0; i < options.warmupPoints; ++i)
-            points.push_back(std::move(cands[order[i]]));
-        if (options.obs.trace) {
-            options.obs.trace->point(
-                "costmodel.warm_start", eval.simulatedSeconds(),
-                {tint("candidates", static_cast<int64_t>(cands.size())),
-                 tint("kept", options.warmupPoints)});
-        }
-        if (options.obs.metrics)
-            options.obs.metrics->counter("costmodel.warmstarts").add();
-    } else {
-        for (int i = 0; i < options.warmupPoints; ++i)
-            points.push_back(space.randomPoint(rng));
-    }
-    points.push_back(space.initialPoint());
-    if (options.obs.trace) {
-        options.obs.trace->begin(
-            "warmup", eval.simulatedSeconds(),
-            {tint("points", static_cast<int64_t>(points.size()))});
-    }
-    reval.evaluate(points);
-    if (options.obs.trace)
-        options.obs.trace->end("warmup", eval.simulatedSeconds());
-    if (options.obs.metrics)
-        options.obs.metrics->counter("explore.warmup_points")
-            .add(points.size());
-}
-
-ExploreResult
-finish(const Evaluator &eval, const ResilientEvaluator &reval,
-       bool deadline_exceeded, bool resumed)
-{
-    ExploreResult out;
-    out.bestPoint = eval.bestPoint();
-    out.bestGflops = eval.best();
-    out.trialsUsed = eval.numTrials();
-    out.simSeconds = eval.simulatedSeconds();
-    out.curve = eval.curve();
-    out.deadlineExceeded = deadline_exceeded;
-    out.resumed = resumed;
-    out.failures = reval.stats().failures;
-    out.retries = reval.stats().retries;
-    out.timeouts = reval.stats().timeouts;
-    out.quarantined = reval.stats().quarantined;
-    return out;
-}
-
-bool
-reachedTarget(const Evaluator &eval, const ExploreOptions &options)
-{
-    return options.targetGflops > 0.0 &&
-           eval.best() >= options.targetGflops;
-}
-
-bool
-deadlineHit(const Evaluator &eval, const ExploreOptions &options)
-{
-    return options.deadlineSimSeconds > 0.0 &&
-           eval.simulatedSeconds() >= options.deadlineSimSeconds;
+    ctx.notePrune(n, keep);
 }
 
 /**
- * Load the checkpoint named by the options if it belongs to this run.
- * Returns the state without applying it, so method-specific parts (the
- * Q-network) can be validated before any shared state is touched.
+ * The paper's method (Section 5.1): SA picks starting points from H and
+ * a Q-network ranks each start's directions; the best unvisited one is
+ * measured.
  */
-std::optional<CheckpointState>
-loadCompatible(const ExploreOptions &options, const std::string &method,
-               const ScheduleSpace &space)
+class QPolicy : public SearchPolicy
 {
-    if (options.checkpointPath.empty())
-        return std::nullopt;
-    auto state = loadCheckpoint(options.checkpointPath);
-    if (!state)
-        return std::nullopt;
-    if (!checkpointCompatible(*state, method, options.seed, space) ||
-        state->trial > options.trials) {
-        warn("checkpoint ", options.checkpointPath,
-             " belongs to a different run; starting fresh");
-        return std::nullopt;
+  public:
+    QPolicy(const ScheduleSpace &space, const ExploreOptions &options)
+        : space_(space),
+          options_(options),
+          featureDim_(space.featureDim()),
+          numDirs_(space.numDirections()),
+          chooser_(options.saGamma),
+          order_(numDirs_),
+          forwardCounter_(maybeCounter(options.obs.metrics,
+                                       "q.forward_passes")),
+          trainCounter_(maybeCounter(options.obs.metrics, "q.train_rounds")),
+          forwardNsCounter_(options.obs.wallProfile
+                                ? maybeCounter(options.obs.metrics,
+                                               "q.forward_batch.ns")
+                                : nullptr)
+    {}
+
+    Method method() const override { return Method::QMethod; }
+    bool warmsUp() const override { return true; }
+    bool step(SearchContext &ctx, int trial) override;
+    bool restore(const CheckpointState &state) override;
+    void save(CheckpointState &state) const override;
+
+  private:
+    /** Section 5.1: four fully-connected layers with ReLU. */
+    std::vector<int> netDims() const
+    {
+        return {featureDim_, options_.hidden, options_.hidden,
+                options_.hidden, numDirs_};
     }
-    return state;
+
+    void train(SearchContext &ctx);
+
+    const ScheduleSpace &space_;
+    const ExploreOptions &options_;
+    const int featureDim_;
+    const int numDirs_;
+    SaChooser chooser_;
+    /** Online network X and target network Y (online training with
+     *  AdaDelta, Y stabilizing the updates). Drawn on the first step,
+     *  after warm-up, unless restored from a checkpoint. */
+    std::optional<Mlp> netX_, netY_;
+    std::vector<Transition> replay_;
+    AdaDeltaOptions adadelta_;
+
+    // Reused hot-loop buffers: the per-step feature batch (row-major
+    // starts x feature_dim), the decode scratch feeding it, the network
+    // scratch, the direction ranking, and the training gather buffers.
+    DecodeScratch decodeScratch_;
+    std::vector<double> featD_;
+    std::vector<float> batchFeat_;
+    MlpScratch netScratch_;
+    std::vector<int> order_;
+    std::vector<size_t> replayIdx_;
+    std::vector<float> trainFeat_;
+    std::vector<float> trainState_;
+    std::vector<int> trainAction_;
+    std::vector<float> targets_;
+    // Pruned-path buffers (untouched unless a trained model is attached).
+    std::vector<int> candDirs_;
+    std::vector<Point> candPoints_;
+    std::vector<double> pruneFeat_;
+
+    Counter *forwardCounter_;
+    Counter *trainCounter_;
+    Counter *forwardNsCounter_;
+};
+
+bool
+QPolicy::step(SearchContext &ctx, int trial)
+{
+    Evaluator &eval = ctx.eval;
+    TraceRecorder *trace = options_.obs.trace;
+    if (!netX_) {
+        // Fresh runs draw the weights here, after warm-up.
+        netX_.emplace(netDims(), ctx.rng);
+        netY_ = *netX_; // same initial parameters
+    }
+    auto starts = chooser_.chooseMany(eval, ctx.rng, options_.startingPoints);
+    const int m = static_cast<int>(starts.size());
+
+    // Batched direction inference: every start's feature row is decoded
+    // into one matrix and the Q-network runs a single blocked pass over
+    // it. Features and the network are fixed within a trial, so the
+    // per-row results are bit-identical to per-start forward() calls.
+    if (trace) {
+        trace->begin("q_forward_batch", eval.simulatedSeconds(),
+                     {tint("starts", m)});
+    }
+    const auto qf_t0 = std::chrono::steady_clock::now();
+    batchFeat_.resize(static_cast<size_t>(m) * featureDim_);
+    for (int s = 0; s < m; ++s) {
+        space_.featuresInto(starts[s], decodeScratch_, featD_);
+        float *row = batchFeat_.data() + static_cast<size_t>(s) * featureDim_;
+        for (int i = 0; i < featureDim_; ++i)
+            row[i] = static_cast<float>(featD_[i]);
+    }
+    const float *batch_q =
+        m > 0 ? netX_->forwardBatch(batchFeat_.data(), m, netScratch_)
+              : nullptr;
+    if (forwardNsCounter_)
+        forwardNsCounter_->add(static_cast<uint64_t>(wallNsSince(qf_t0)));
+    if (trace) {
+        if (options_.obs.wallProfile) {
+            trace->end("q_forward_batch", eval.simulatedSeconds(),
+                       {tint("ns", wallNsSince(qf_t0))});
+        } else {
+            trace->end("q_forward_batch", eval.simulatedSeconds());
+        }
+    }
+    if (forwardCounter_)
+        forwardCounter_->add(static_cast<uint64_t>(m));
+
+    for (int s = 0; s < m; ++s) {
+        const Point &start = starts[s];
+        const float *q = batch_q + static_cast<size_t>(s) * numDirs_;
+
+        // Rank directions by predicted Q-value; epsilon-greedy.
+        for (int d = 0; d < numDirs_; ++d)
+            order_[d] = d;
+        const bool greedy = !ctx.rng.chance(options_.epsilon);
+        if (!greedy) {
+            ctx.rng.shuffle(order_);
+        } else {
+            std::sort(order_.begin(), order_.end(),
+                      [&](int a, int b) { return q[a] > q[b]; });
+        }
+
+        // Take the best direction that leads to an unvisited point. With
+        // pruning on, the persistent model re-ranks the top prunerKeep
+        // fraction of the Q-ordered candidates and the model-argmax is
+        // measured instead of the first.
+        int chosen_dir = -1;
+        std::optional<Point> chosen;
+        if (!pruningActive(options_)) {
+            for (int d : order_) {
+                auto next = space_.move(start, d);
+                if (!next || eval.known(next->key64()))
+                    continue;
+                chosen_dir = d;
+                chosen = std::move(next);
+                break;
+            }
+        } else {
+            candDirs_.clear();
+            candPoints_.clear();
+            for (int d : order_) {
+                auto next = space_.move(start, d);
+                if (!next || eval.known(next->key64()))
+                    continue;
+                candDirs_.push_back(d);
+                candPoints_.push_back(std::move(*next));
+            }
+            if (!candPoints_.empty()) {
+                const size_t consider =
+                    keepCount(options_.prunerKeep, candPoints_.size());
+                size_t best_i = 0;
+                double best_score = 0.0;
+                for (size_t i = 0; i < consider; ++i) {
+                    eval.costFeaturesFor(candPoints_[i], pruneFeat_);
+                    double score = options_.costModel->predict(pruneFeat_);
+                    if (i == 0 || score > best_score) {
+                        best_score = score;
+                        best_i = i;
+                    }
+                }
+                chosen_dir = candDirs_[best_i];
+                chosen = std::move(candPoints_[best_i]);
+                ctx.notePrune(consider, 1);
+            }
+        }
+        if (chosen) {
+            const int d = chosen_dir;
+            const Point &next = *chosen;
+            const PointKey next_key = next.key64();
+            double e_start = eval.evaluate(start);
+            double e_next = ctx.reval.evaluate(next, next_key);
+            float reward = static_cast<float>((e_next - e_start) /
+                                              std::max(e_start, 1e-9));
+            const float *feat_row =
+                batchFeat_.data() + static_cast<size_t>(s) * featureDim_;
+            space_.featuresInto(next, decodeScratch_, featD_);
+            replay_.push_back(
+                {start, next,
+                 std::vector<float>(feat_row, feat_row + featureDim_), d,
+                 toFloat(featD_), reward});
+            if (trace) {
+                trace->point("q_step", eval.simulatedSeconds(),
+                             {tstr("key", next.key()), tint("dir", d),
+                              treal("reward", reward),
+                              tbool("greedy", greedy)});
+            }
+        }
+    }
+
+    // Periodic online training of X against the target network Y.
+    if ((trial + 1) % options_.trainEvery == 0 && !replay_.empty())
+        train(ctx);
+    return true;
 }
 
-/** Snapshot after finishing trial `trial` when the period says so. */
 void
-maybeSnapshot(const ExploreOptions &options, const std::string &method,
-              int trial, const Evaluator &eval, const Rng &rng,
-              const ResilientEvaluator &reval,
-              const Mlp *net = nullptr,
-              const std::vector<Transition> *replay = nullptr)
+QPolicy::train(SearchContext &ctx)
 {
-    if (options.checkpointPath.empty() ||
-        options.checkpointEveryTrials <= 0 ||
-        (trial + 1) % options.checkpointEveryTrials != 0) {
-        return;
+    TraceRecorder *trace = options_.obs.trace;
+    if (trace)
+        trace->begin("q_train", ctx.eval.simulatedSeconds());
+    netX_->zeroGrad();
+    int batch = std::min<int>(options_.replayBatch,
+                              static_cast<int>(replay_.size()));
+    // Pre-draw the replay sample (same RNG draw order as a per-sample
+    // loop: nothing between the draws consumes randomness), then run the
+    // target network over the whole sample in one blocked pass.
+    replayIdx_.resize(batch);
+    for (int b = 0; b < batch; ++b)
+        replayIdx_[b] = ctx.rng.index(replay_.size());
+    trainFeat_.resize(static_cast<size_t>(batch) * featureDim_);
+    for (int b = 0; b < batch; ++b) {
+        const Transition &t = replay_[replayIdx_[b]];
+        std::copy(t.nextFeatures.begin(), t.nextFeatures.end(),
+                  trainFeat_.begin() + static_cast<size_t>(b) * featureDim_);
     }
-    CheckpointState state = captureCommon(method, options.seed, trial + 1,
-                                          eval, rng, reval);
-    if (net)
-        state.netState = net->checkpointState();
-    if (replay) {
-        state.replay.reserve(replay->size());
-        for (const Transition &t : *replay)
-            state.replay.push_back({t.start.idx, t.direction, t.next.idx});
+    const float *next_q_all =
+        netY_->forwardBatch(trainFeat_.data(), batch, netScratch_);
+    targets_.resize(batch);
+    for (int b = 0; b < batch; ++b) {
+        const float *row = next_q_all + static_cast<size_t>(b) * numDirs_;
+        // First-largest scan: same element as std::max_element.
+        float max_next = row[0];
+        for (int d = 1; d < numDirs_; ++d) {
+            if (row[d] > max_next)
+                max_next = row[d];
+        }
+        targets_[b] = static_cast<float>(options_.qAlpha) * max_next +
+                      replay_[replayIdx_[b]].reward;
     }
-    if (options.obs.trace) {
-        options.obs.trace->begin("checkpoint_save", eval.simulatedSeconds(),
-                                 {tint("trial", trial + 1)});
+    // One batched gradient pass: forward runs once over the sample
+    // lanes, gradients accumulate in index order — the same values a
+    // per-sample accumulateGrad loop produces.
+    trainState_.resize(static_cast<size_t>(batch) * featureDim_);
+    trainAction_.resize(batch);
+    for (int b = 0; b < batch; ++b) {
+        const Transition &t = replay_[replayIdx_[b]];
+        std::copy(t.stateFeatures.begin(), t.stateFeatures.end(),
+                  trainState_.begin() + static_cast<size_t>(b) * featureDim_);
+        trainAction_[b] = t.direction;
     }
-    bool saved = saveCheckpoint(options.checkpointPath, state);
-    if (options.obs.trace) {
-        options.obs.trace->end("checkpoint_save", eval.simulatedSeconds(),
-                               {tbool("ok", saved)});
+    netX_->accumulateGradBatch(trainState_.data(), batch,
+                               trainAction_.data(), targets_.data(),
+                               netScratch_);
+    netX_->step(adadelta_);
+    netY_->copyValuesFrom(*netX_);
+    if (trace) {
+        trace->end("q_train", ctx.eval.simulatedSeconds(),
+                   {tint("batch", batch)});
     }
-    if (options.obs.metrics)
-        options.obs.metrics->counter("checkpoint.saves").add();
-    if (!saved)
-        warn("could not write checkpoint to ", options.checkpointPath);
+    if (trainCounter_)
+        trainCounter_->add();
 }
 
-/** Rebuild the replay buffer from checkpointed coordinates: features and
- *  rewards are recomputed from the restored H (all cache hits). */
-std::vector<Transition>
-rebuildReplay(const CheckpointState &state, Evaluator &eval)
+bool
+QPolicy::restore(const CheckpointState &state)
 {
-    const ScheduleSpace &space = eval.space();
+    // The construction draws come from a throwaway stream; the snapshot
+    // overwrites every weight and accumulator.
+    Rng unused(0);
+    Mlp net(netDims(), unused);
+    if (!net.restoreCheckpointState(state.netState))
+        return false;
+    // Rebuild the replay buffer from its coordinates: features come from
+    // the space, rewards from the values recorded in the snapshot's H.
+    std::unordered_map<PointKey, double> measured;
+    for (const Evaluated &e : state.history)
+        measured.emplace(e.point.key64(), e.gflops);
     std::vector<Transition> replay;
     replay.reserve(state.replay.size());
     for (const ReplayTransition &r : state.replay) {
@@ -274,459 +360,136 @@ rebuildReplay(const CheckpointState &state, Evaluator &eval)
         t.start = Point{r.start};
         t.next = Point{r.next};
         t.direction = r.direction;
-        t.stateFeatures = toFloat(space.features(t.start));
-        t.nextFeatures = toFloat(space.features(t.next));
-        double e_start = eval.evaluate(t.start);
-        double e_next = eval.evaluate(t.next);
-        t.reward = static_cast<float>((e_next - e_start) /
-                                      std::max(e_start, 1e-9));
+        auto e_start = measured.find(t.start.key64());
+        auto e_next = measured.find(t.next.key64());
+        if (e_start == measured.end() || e_next == measured.end() ||
+            t.direction < 0 || t.direction >= numDirs_) {
+            return false;
+        }
+        t.stateFeatures = toFloat(space_.features(t.start));
+        t.nextFeatures = toFloat(space_.features(t.next));
+        t.reward = static_cast<float>(
+            (e_next->second - e_start->second) /
+            std::max(e_start->second, 1e-9));
         replay.push_back(std::move(t));
     }
-    return replay;
+    netY_ = net;
+    netX_ = std::move(net);
+    replay_ = std::move(replay);
+    return true;
 }
+
+void
+QPolicy::save(CheckpointState &state) const
+{
+    state.netState = netX_->checkpointState();
+    state.replay.reserve(replay_.size());
+    for (const Transition &t : replay_)
+        state.replay.push_back({t.start.idx, t.direction, t.next.idx});
+}
+
+/**
+ * The exhaustive-neighbourhood baseline (Section 6.5): SA picks starting
+ * points and every direction of each start is measured.
+ */
+class PPolicy : public SearchPolicy
+{
+  public:
+    PPolicy(const ScheduleSpace &space, const ExploreOptions &options)
+        : space_(space), options_(options), chooser_(options.saGamma)
+    {}
+
+    Method method() const override { return Method::PMethod; }
+    bool warmsUp() const override { return true; }
+
+    bool step(SearchContext &ctx, int) override
+    {
+        auto starts =
+            chooser_.chooseMany(ctx.eval, ctx.rng, options_.startingPoints);
+        for (const Point &start : starts) {
+            if (ctx.stop())
+                break;
+            // Measure the full neighbourhood of the starting point as one
+            // parallel batch (early-stop granularity is a whole
+            // neighbourhood, matching batched measurement).
+            neighborhood_.clear();
+            for (int d = 0; d < space_.numDirections(); ++d) {
+                auto next = space_.move(start, d);
+                if (next && !ctx.eval.known(*next))
+                    neighborhood_.push_back(std::move(*next));
+            }
+            // Pruned mode simulates only the model's top fraction of the
+            // neighbourhood instead of every direction.
+            if (pruningActive(options_))
+                pruneCandidates(ctx, neighborhood_);
+            ctx.reval.evaluate(neighborhood_);
+        }
+        return true;
+    }
+
+  private:
+    const ScheduleSpace &space_;
+    const ExploreOptions &options_;
+    SaChooser chooser_;
+    std::vector<Point> neighborhood_;
+};
+
+/** Uniform random search (ablation baseline): one point per step. */
+class RandomPolicy : public SearchPolicy
+{
+  public:
+    RandomPolicy(const ScheduleSpace &space, const ExploreOptions &options)
+        : space_(space), options_(options)
+    {}
+
+    Method method() const override { return Method::Random; }
+
+    bool step(SearchContext &ctx, int) override
+    {
+        if (!pruningActive(options_)) {
+            ctx.reval.evaluate(space_.randomPoint(ctx.rng));
+            return true;
+        }
+        // Pruned random search draws a batch sized so that keeping the
+        // prunerKeep fraction measures ~one model-chosen point per trial
+        // — same measurement budget, model-guided picks.
+        const int n = std::max(
+            1, static_cast<int>(std::ceil(1.0 / options_.prunerKeep)));
+        draws_.clear();
+        for (int i = 0; i < n; ++i)
+            draws_.push_back(space_.randomPoint(ctx.rng));
+        pruneCandidates(ctx, draws_);
+        ctx.reval.evaluate(draws_);
+        return true;
+    }
+
+  private:
+    const ScheduleSpace &space_;
+    const ExploreOptions &options_;
+    std::vector<Point> draws_;
+};
 
 } // namespace
 
 ExploreResult
 exploreQMethod(Evaluator &eval, const ExploreOptions &options)
 {
-    Rng rng(options.seed);
-    const ScheduleSpace &space = eval.space();
-    eval.setObs(options.obs);
-    eval.setCostModel(options.costModel);
-    TraceRecorder *trace = options.obs.trace;
-    MetricsRegistry *metrics = options.obs.metrics;
-    Counter *step_counter = maybeCounter(metrics, "explore.steps");
-    Counter *forward_counter = maybeCounter(metrics, "q.forward_passes");
-    Counter *train_counter = maybeCounter(metrics, "q.train_rounds");
-    ResilientEvaluator reval(eval, options.evalPool,
-                             options.measureParallelism, options.resilience);
-
-    // RNG draw order must match an uninterrupted fresh run exactly:
-    // warmup draws come before network init, so load the checkpoint (a
-    // pure file read) first and only skip warmup when resuming. The
-    // restored RNG state overwrites every draw made before restoreCommon.
-    std::optional<CheckpointState> ckpt =
-        loadCompatible(options, "Q-method", space);
-    if (!ckpt)
-        warmup(reval, rng, options);
-
-    const int feature_dim = space.featureDim();
-    const int num_dirs = space.numDirections();
-    // Section 5.1: four fully-connected layers with ReLU, online training
-    // with AdaDelta, and a target network Y stabilizing the updates.
-    Mlp netX({feature_dim, options.hidden, options.hidden, options.hidden,
-              num_dirs},
-             rng);
-    Mlp netY = netX; // same initial parameters
-
-    SaChooser chooser(options.saGamma);
-    std::vector<Transition> replay;
-    // At most one transition lands per start per trial; cap the reserve
-    // so a huge trial budget cannot pre-claim unbounded memory.
-    replay.reserve(std::min<size_t>(
-        static_cast<size_t>(std::max(options.trials, 0)) *
-            static_cast<size_t>(std::max(options.startingPoints, 1)),
-        size_t(1) << 16));
-    AdaDeltaOptions adadelta;
-
-    // Reused hot-loop buffers: the per-step feature batch (row-major
-    // starts x feature_dim), the decode scratch feeding it, the network
-    // scratch, the direction ranking, and the training gather buffers.
-    DecodeScratch decode_scratch;
-    std::vector<double> feat_d;
-    std::vector<float> batch_feat;
-    MlpScratch net_scratch;
-    std::vector<int> order(num_dirs);
-    std::vector<size_t> replay_idx;
-    std::vector<float> train_feat;
-    std::vector<float> train_state;
-    std::vector<int> train_action;
-    std::vector<float> targets;
-    // Pruned-path buffers (untouched unless a trained model is attached).
-    std::vector<int> cand_dirs;
-    std::vector<Point> cand_points;
-    std::vector<double> prune_feat;
-    Counter *qf_ns_counter = options.obs.wallProfile
-                                 ? maybeCounter(metrics, "q.forward_batch.ns")
-                                 : nullptr;
-
-    int start_trial = 0;
-    bool resumed = false;
-    if (ckpt) {
-        if (netX.restoreCheckpointState(ckpt->netState)) {
-            restoreCommon(*ckpt, eval, rng, reval);
-            netY.copyValuesFrom(netX);
-            replay = rebuildReplay(*ckpt, eval);
-            start_trial = ckpt->trial;
-            resumed = true;
-            inform("resumed Q-method run at trial ", start_trial, " from ",
-                   options.checkpointPath);
-        } else {
-            warn("checkpoint network shape mismatch; starting fresh");
-            warmup(reval, rng, options);
-        }
-    }
-
-    bool deadline_exceeded = false;
-    for (int trial = start_trial; trial < options.trials; ++trial) {
-        if (reachedTarget(eval, options))
-            break;
-        if (deadlineHit(eval, options)) {
-            deadline_exceeded = true;
-            break;
-        }
-        if (trace) {
-            trace->begin("step", eval.simulatedSeconds(),
-                         {tint("trial", trial)});
-        }
-        auto starts = chooser.chooseMany(eval, rng, options.startingPoints);
-        const int m = static_cast<int>(starts.size());
-
-        // Batched direction inference: every start's feature row is
-        // decoded into one matrix and the Q-network runs a single
-        // blocked pass over it. Features and the network are fixed
-        // within a trial, so the per-row results are bit-identical to
-        // the former per-start forward() calls.
-        if (trace) {
-            trace->begin("q_forward_batch", eval.simulatedSeconds(),
-                         {tint("starts", m)});
-        }
-        const auto qf_t0 = std::chrono::steady_clock::now();
-        batch_feat.resize(static_cast<size_t>(m) * feature_dim);
-        for (int s = 0; s < m; ++s) {
-            space.featuresInto(starts[s], decode_scratch, feat_d);
-            float *row = batch_feat.data() +
-                         static_cast<size_t>(s) * feature_dim;
-            for (int i = 0; i < feature_dim; ++i)
-                row[i] = static_cast<float>(feat_d[i]);
-        }
-        const float *batch_q =
-            m > 0 ? netX.forwardBatch(batch_feat.data(), m, net_scratch)
-                  : nullptr;
-        if (qf_ns_counter)
-            qf_ns_counter->add(static_cast<uint64_t>(wallNsSince(qf_t0)));
-        if (trace) {
-            if (options.obs.wallProfile) {
-                trace->end("q_forward_batch", eval.simulatedSeconds(),
-                           {tint("ns", wallNsSince(qf_t0))});
-            } else {
-                trace->end("q_forward_batch", eval.simulatedSeconds());
-            }
-        }
-        if (forward_counter)
-            forward_counter->add(static_cast<uint64_t>(m));
-
-        for (int s = 0; s < m; ++s) {
-            const Point &start = starts[s];
-            const float *q = batch_q + static_cast<size_t>(s) * num_dirs;
-
-            // Rank directions by predicted Q-value; epsilon-greedy.
-            for (int d = 0; d < num_dirs; ++d)
-                order[d] = d;
-            const bool greedy = !rng.chance(options.epsilon);
-            if (!greedy) {
-                rng.shuffle(order);
-            } else {
-                std::sort(order.begin(), order.end(),
-                          [&](int a, int b) { return q[a] > q[b]; });
-            }
-
-            // Take the best direction that leads to an unvisited point.
-            // With pruning on, the persistent model re-ranks the top
-            // prunerKeep fraction of the Q-ordered candidates and the
-            // model-argmax is measured instead of the first.
-            int chosen_dir = -1;
-            std::optional<Point> chosen;
-            if (!pruningActive(options)) {
-                for (int d : order) {
-                    auto next = space.move(start, d);
-                    if (!next || eval.known(next->key64()))
-                        continue;
-                    chosen_dir = d;
-                    chosen = std::move(next);
-                    break;
-                }
-            } else {
-                cand_dirs.clear();
-                cand_points.clear();
-                for (int d : order) {
-                    auto next = space.move(start, d);
-                    if (!next || eval.known(next->key64()))
-                        continue;
-                    cand_dirs.push_back(d);
-                    cand_points.push_back(std::move(*next));
-                }
-                if (!cand_points.empty()) {
-                    const size_t consider = keepCount(
-                        options.prunerKeep, cand_points.size());
-                    size_t best_i = 0;
-                    double best_score = 0.0;
-                    for (size_t i = 0; i < consider; ++i) {
-                        eval.costFeaturesFor(cand_points[i], prune_feat);
-                        double score =
-                            options.costModel->predict(prune_feat);
-                        if (i == 0 || score > best_score) {
-                            best_score = score;
-                            best_i = i;
-                        }
-                    }
-                    chosen_dir = cand_dirs[best_i];
-                    chosen = std::move(cand_points[best_i]);
-                    if (trace) {
-                        trace->point(
-                            "costmodel.prune", eval.simulatedSeconds(),
-                            {tint("considered",
-                                  static_cast<int64_t>(consider)),
-                             tint("kept", 1)});
-                    }
-                    if (metrics) {
-                        metrics->counter("costmodel.prune.kept").add(1);
-                        metrics->counter("costmodel.prune.dropped")
-                            .add(consider - 1);
-                    }
-                }
-            }
-            if (chosen) {
-                const int d = chosen_dir;
-                const Point &next = *chosen;
-                const PointKey next_key = next.key64();
-                double e_start = eval.evaluate(start);
-                double e_next = reval.evaluate(next, next_key);
-                float reward = static_cast<float>(
-                    (e_next - e_start) / std::max(e_start, 1e-9));
-                const float *feat_row =
-                    batch_feat.data() + static_cast<size_t>(s) * feature_dim;
-                space.featuresInto(next, decode_scratch, feat_d);
-                replay.push_back(
-                    {start, next,
-                     std::vector<float>(feat_row, feat_row + feature_dim),
-                     d, toFloat(feat_d), reward});
-                if (trace) {
-                    trace->point("q_step", eval.simulatedSeconds(),
-                                 {tstr("key", next.key()), tint("dir", d),
-                                  treal("reward", reward),
-                                  tbool("greedy", greedy)});
-                }
-            }
-        }
-
-        // Periodic online training of X against the target network Y.
-        if ((trial + 1) % options.trainEvery == 0 && !replay.empty()) {
-            if (trace)
-                trace->begin("q_train", eval.simulatedSeconds());
-            netX.zeroGrad();
-            int batch = std::min<int>(options.replayBatch,
-                                      static_cast<int>(replay.size()));
-            // Pre-draw the replay sample (same RNG draw order as the
-            // former per-sample loop: nothing between the draws consumed
-            // randomness), then run the target network over the whole
-            // sample in one blocked pass.
-            replay_idx.resize(batch);
-            for (int b = 0; b < batch; ++b)
-                replay_idx[b] = rng.index(replay.size());
-            train_feat.resize(static_cast<size_t>(batch) * feature_dim);
-            for (int b = 0; b < batch; ++b) {
-                const Transition &t = replay[replay_idx[b]];
-                std::copy(t.nextFeatures.begin(), t.nextFeatures.end(),
-                          train_feat.begin() +
-                              static_cast<size_t>(b) * feature_dim);
-            }
-            const float *next_q_all =
-                netY.forwardBatch(train_feat.data(), batch, net_scratch);
-            targets.resize(batch);
-            for (int b = 0; b < batch; ++b) {
-                const float *row =
-                    next_q_all + static_cast<size_t>(b) * num_dirs;
-                // First-largest scan: same element as std::max_element.
-                float max_next = row[0];
-                for (int d = 1; d < num_dirs; ++d) {
-                    if (row[d] > max_next)
-                        max_next = row[d];
-                }
-                targets[b] = static_cast<float>(options.qAlpha) * max_next +
-                             replay[replay_idx[b]].reward;
-            }
-            // One batched gradient pass: forward runs once over the
-            // sample lanes, gradients accumulate in index order — the
-            // same values the per-sample accumulateGrad loop produced.
-            train_state.resize(static_cast<size_t>(batch) * feature_dim);
-            train_action.resize(batch);
-            for (int b = 0; b < batch; ++b) {
-                const Transition &t = replay[replay_idx[b]];
-                std::copy(t.stateFeatures.begin(), t.stateFeatures.end(),
-                          train_state.begin() +
-                              static_cast<size_t>(b) * feature_dim);
-                train_action[b] = t.direction;
-            }
-            netX.accumulateGradBatch(train_state.data(), batch,
-                                     train_action.data(), targets.data(),
-                                     net_scratch);
-            netX.step(adadelta);
-            netY.copyValuesFrom(netX);
-            if (trace) {
-                trace->end("q_train", eval.simulatedSeconds(),
-                           {tint("batch", batch)});
-            }
-            if (train_counter)
-                train_counter->add();
-        }
-        eval.chargeOverhead(options.stepOverheadSeconds);
-        if (trace)
-            trace->end("step", eval.simulatedSeconds());
-        if (step_counter)
-            step_counter->add();
-        maybeSnapshot(options, "Q-method", trial, eval,
-                      rng, reval, &netX, &replay);
-    }
-    return finish(eval, reval, deadline_exceeded, resumed);
+    QPolicy policy(eval.space(), options);
+    return runSearch(eval, options, policy);
 }
 
 ExploreResult
 explorePMethod(Evaluator &eval, const ExploreOptions &options)
 {
-    Rng rng(options.seed);
-    const ScheduleSpace &space = eval.space();
-    eval.setObs(options.obs);
-    eval.setCostModel(options.costModel);
-    TraceRecorder *trace = options.obs.trace;
-    Counter *step_counter = maybeCounter(options.obs.metrics,
-                                         "explore.steps");
-    ResilientEvaluator reval(eval, options.evalPool,
-                             options.measureParallelism, options.resilience);
-    SaChooser chooser(options.saGamma);
-    const int num_dirs = space.numDirections();
-    // Reused across starts; a neighborhood holds at most num_dirs points.
-    std::vector<Point> neighborhood;
-    neighborhood.reserve(num_dirs);
-    std::vector<double> prune_feat, prune_scores;
-    std::vector<size_t> prune_order;
-
-    int start_trial = 0;
-    bool resumed = false;
-    if (auto ckpt = loadCompatible(options, "P-method",
-                                   space)) {
-        restoreCommon(*ckpt, eval, rng, reval);
-        start_trial = ckpt->trial;
-        resumed = true;
-        inform("resumed P-method run at trial ", start_trial, " from ",
-               options.checkpointPath);
-    }
-    if (!resumed)
-        warmup(reval, rng, options);
-
-    bool deadline_exceeded = false;
-    for (int trial = start_trial; trial < options.trials; ++trial) {
-        if (reachedTarget(eval, options))
-            break;
-        if (deadlineHit(eval, options)) {
-            deadline_exceeded = true;
-            break;
-        }
-        if (trace) {
-            trace->begin("step", eval.simulatedSeconds(),
-                         {tint("trial", trial)});
-        }
-        auto starts = chooser.chooseMany(eval, rng, options.startingPoints);
-        for (const Point &start : starts) {
-            if (reachedTarget(eval, options))
-                break;
-            if (deadlineHit(eval, options)) {
-                deadline_exceeded = true;
-                break;
-            }
-            // P-method: measure the full neighborhood of the starting
-            // point as one parallel batch (early-stop granularity is a
-            // whole neighborhood, matching batched measurement).
-            neighborhood.clear();
-            for (int d = 0; d < num_dirs; ++d) {
-                auto next = space.move(start, d);
-                if (next && !eval.known(*next))
-                    neighborhood.push_back(std::move(*next));
-            }
-            // Pruned mode simulates only the model's top fraction of
-            // the neighborhood instead of every direction.
-            if (pruningActive(options)) {
-                pruneCandidates(eval, options, neighborhood, prune_feat,
-                                prune_scores, prune_order);
-            }
-            reval.evaluate(neighborhood);
-        }
-        eval.chargeOverhead(options.stepOverheadSeconds);
-        if (trace)
-            trace->end("step", eval.simulatedSeconds());
-        if (step_counter)
-            step_counter->add();
-        maybeSnapshot(options, "P-method", trial, eval,
-                      rng, reval);
-    }
-    return finish(eval, reval, deadline_exceeded, resumed);
+    PPolicy policy(eval.space(), options);
+    return runSearch(eval, options, policy);
 }
 
 ExploreResult
 exploreRandom(Evaluator &eval, const ExploreOptions &options)
 {
-    Rng rng(options.seed);
-    const ScheduleSpace &space = eval.space();
-    eval.setObs(options.obs);
-    eval.setCostModel(options.costModel);
-    TraceRecorder *trace = options.obs.trace;
-    Counter *step_counter = maybeCounter(options.obs.metrics,
-                                         "explore.steps");
-    ResilientEvaluator reval(eval, options.evalPool,
-                             options.measureParallelism, options.resilience);
-    std::vector<Point> draws;
-    std::vector<double> prune_feat, prune_scores;
-    std::vector<size_t> prune_order;
-
-    int start_trial = 0;
-    bool resumed = false;
-    if (auto ckpt = loadCompatible(options, "random",
-                                   space)) {
-        restoreCommon(*ckpt, eval, rng, reval);
-        start_trial = ckpt->trial;
-        resumed = true;
-    }
-    if (!resumed) {
-        for (const Point &p : options.seedPoints)
-            reval.evaluate(p);
-    }
-
-    bool deadline_exceeded = false;
-    for (int trial = start_trial; trial < options.trials; ++trial) {
-        if (reachedTarget(eval, options))
-            break;
-        if (deadlineHit(eval, options)) {
-            deadline_exceeded = true;
-            break;
-        }
-        if (trace) {
-            trace->begin("step", eval.simulatedSeconds(),
-                         {tint("trial", trial)});
-        }
-        if (pruningActive(options)) {
-            // Pruned random search draws a batch sized so that keeping
-            // the prunerKeep fraction measures ~one model-chosen point
-            // per trial — same measurement budget, model-guided picks.
-            const int n = std::max(
-                1, static_cast<int>(std::ceil(1.0 / options.prunerKeep)));
-            draws.clear();
-            for (int i = 0; i < n; ++i)
-                draws.push_back(space.randomPoint(rng));
-            pruneCandidates(eval, options, draws, prune_feat,
-                            prune_scores, prune_order);
-            reval.evaluate(draws);
-        } else {
-            reval.evaluate(space.randomPoint(rng));
-        }
-        if (trace)
-            trace->end("step", eval.simulatedSeconds());
-        if (step_counter)
-            step_counter->add();
-        maybeSnapshot(options, "random", trial, eval,
-                      rng, reval);
-    }
-    return finish(eval, reval, deadline_exceeded, resumed);
+    RandomPolicy policy(eval.space(), options);
+    return runSearch(eval, options, policy);
 }
 
 } // namespace ft

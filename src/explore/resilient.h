@@ -109,8 +109,6 @@ class ResilientEvaluator
     void restore(const ResilienceStats &stats,
                  const std::vector<Point> &quarantine);
 
-    Evaluator &evaluator() { return eval_; }
-
   private:
     /** One point's full measurement: repeats x retry loop. */
     struct Measured

@@ -116,21 +116,7 @@ tuneFamily(const ShapeFamily &family, const Target &target,
 
         if (obs.trace)
             obs.trace->begin("family.bucket", report.simSeconds);
-        ExploreResult result;
-        switch (options.method) {
-          case Method::QMethod:
-            result = exploreQMethod(eval, explore);
-            break;
-          case Method::PMethod:
-            result = explorePMethod(eval, explore);
-            break;
-          case Method::Random:
-            result = exploreRandom(eval, explore);
-            break;
-          case Method::AutoTvm:
-            result = exploreAutoTvm(eval, explore);
-            break;
-        }
+        ExploreResult result = exploreWith(options.method, eval, explore);
 
         FamilyBucketReport bucket_report;
         bucket_report.bucket = bucket;

@@ -4,9 +4,10 @@
  * journal itself, plus the three adopters (explore checkpoints, the
  * persistent TuningCache, and DispatchTable files) against a corruption
  * corpus — torn tails at seeded crash offsets, bit flips, and blunt
- * truncation. The marquee test kills a tuning run, tears its checkpoint
- * journal mid-frame as a crashing writer would, and proves the resumed
- * run is still bit-identical to one that was never interrupted.
+ * truncation. The marquee test kills a tuning run of every method,
+ * tears its checkpoint journal mid-frame as a crashing writer would, and
+ * proves the resumed run is still bit-identical to one that was never
+ * interrupted.
  */
 #include <gtest/gtest.h>
 
@@ -294,33 +295,70 @@ class CheckpointDurability : public ::testing::Test
     ScheduleSpace space_;
 };
 
+/** One method's kill-then-resume scenario. */
+struct ResumeCase
+{
+    const char *name;
+    Method method;
+    bool faults;
+    int trials;       ///< budget of the uninterrupted run
+    int killedTrials; ///< budget of the run that gets killed
+    int every;        ///< snapshot period in outer steps
+};
+
+/** Names the case in test listings (instead of its bytes). */
+void
+PrintTo(const ResumeCase &rc, std::ostream *os)
+{
+    *os << rc.name;
+}
+
+class CheckpointResume : public CheckpointDurability,
+                         public ::testing::WithParamInterface<ResumeCase>
+{};
+
 /** Kill the run, tear its checkpoint journal as a crashing writer
  *  would, and the resumed run must STILL be bit-identical: the torn
- *  frame is dropped, the previous snapshot replays the missing trials
- *  deterministically. */
-TEST_F(CheckpointDurability, KillThenTornResumeIsBitIdentical)
+ *  frame is dropped, the previous snapshot replays the missing steps
+ *  deterministically — with and without injected measurement faults. */
+TEST_P(CheckpointResume, KillThenTornResumeIsBitIdentical)
 {
-    const std::string path =
-        ::testing::TempDir() + "ft_ckpt_torn_resume.ftc";
+    const ResumeCase &rc = GetParam();
+    const std::string path = ::testing::TempDir() + "ft_ckpt_resume_" +
+                             rc.name + ".ftc";
     std::remove(path.c_str());
 
+    // AutoTVM searches its template-restricted space, as tuneOp does.
+    SpaceOptions space_options;
+    space_options.templateRestricted = rc.method == Method::AutoTvm;
+    const ScheduleSpace space = buildSpace(out_.op(), target_, space_options);
+
+    FaultProfile profile;
+    profile.transient = 0.3;
+    profile.timeout = 0.1;
+    profile.seed = 99;
+    FaultInjector injector(profile);
+
     ExploreOptions options;
-    options.trials = 12;
+    options.trials = rc.trials;
     options.warmupPoints = 8;
     options.startingPoints = 2;
     options.seed = 0xd00dfeed;
+    if (rc.faults)
+        options.resilience.injector = &injector;
 
-    Evaluator ref(out_.op(), space_, target_);
-    ExploreResult uninterrupted = exploreQMethod(ref, options);
+    Evaluator ref(out_.op(), space, target_);
+    ExploreResult uninterrupted = exploreWith(rc.method, ref, options);
+    EXPECT_FALSE(uninterrupted.resumed);
 
-    // "Crashed" run: half the trials, snapshotting every 3 — the
-    // journal holds snapshots at trials 3 and 6.
+    // "Crashed" run: a smaller budget, snapshotting every `every` steps,
+    // so the journal holds several snapshots.
     ExploreOptions partial = options;
-    partial.trials = 6;
+    partial.trials = rc.killedTrials;
     partial.checkpointPath = path;
-    partial.checkpointEveryTrials = 3;
-    Evaluator killed(out_.op(), space_, target_);
-    exploreQMethod(killed, partial);
+    partial.checkpointEveryTrials = rc.every;
+    Evaluator killed(out_.op(), space, target_);
+    EXPECT_FALSE(exploreWith(rc.method, killed, partial).resumed);
 
     // Tear the newest frame mid-payload, as a crash during the final
     // snapshot append would.
@@ -335,15 +373,23 @@ TEST_F(CheckpointDurability, KillThenTornResumeIsBitIdentical)
     EXPECT_LT(recovered->trial, newest_trial);
 
     // Resume over the torn journal: the older snapshot replays the
-    // lost trials and the full run stays bit-identical.
+    // lost steps and the full run stays bit-identical.
     ExploreOptions resume = partial;
     resume.trials = options.trials;
-    Evaluator second(out_.op(), space_, target_);
-    ExploreResult resumed = exploreQMethod(second, resume);
+    Evaluator second(out_.op(), space, target_);
+    ExploreResult resumed = exploreWith(rc.method, second, resume);
     EXPECT_TRUE(resumed.resumed);
     EXPECT_EQ(resumed.bestPoint.key(), uninterrupted.bestPoint.key());
     EXPECT_DOUBLE_EQ(resumed.bestGflops, uninterrupted.bestGflops);
     EXPECT_DOUBLE_EQ(resumed.simSeconds, uninterrupted.simSeconds);
+    EXPECT_EQ(resumed.trialsUsed, uninterrupted.trialsUsed);
+    EXPECT_EQ(resumed.failures, uninterrupted.failures);
+    EXPECT_EQ(resumed.retries, uninterrupted.retries);
+    EXPECT_EQ(resumed.timeouts, uninterrupted.timeouts);
+    EXPECT_EQ(resumed.quarantined, uninterrupted.quarantined);
+    if (rc.faults) {
+        EXPECT_GT(uninterrupted.failures, 0u);
+    }
     ASSERT_EQ(second.history().size(), ref.history().size());
     for (size_t i = 0; i < ref.history().size(); ++i) {
         EXPECT_EQ(second.history()[i].point.key(),
@@ -351,8 +397,32 @@ TEST_F(CheckpointDurability, KillThenTornResumeIsBitIdentical)
         EXPECT_DOUBLE_EQ(second.history()[i].gflops,
                          ref.history()[i].gflops);
     }
+    ASSERT_EQ(second.curve().size(), ref.curve().size());
+    for (size_t i = 0; i < ref.curve().size(); ++i) {
+        EXPECT_DOUBLE_EQ(second.curve()[i].first, ref.curve()[i].first);
+        EXPECT_DOUBLE_EQ(second.curve()[i].second, ref.curve()[i].second);
+    }
     std::remove(path.c_str());
 }
+
+// AutoTVM's budget counts measurements (8 per round) and it snapshots
+// every round, so the killed run leaves several snapshots too.
+constexpr ResumeCase kResumeCases[] = {
+    {"q", Method::QMethod, false, 12, 6, 3},
+    {"q_faults", Method::QMethod, true, 12, 6, 3},
+    {"p", Method::PMethod, false, 12, 6, 3},
+    {"p_faults", Method::PMethod, true, 12, 6, 3},
+    {"random", Method::Random, false, 12, 6, 3},
+    {"random_faults", Method::Random, true, 12, 6, 3},
+    {"autotvm", Method::AutoTvm, false, 48, 32, 1},
+    {"autotvm_faults", Method::AutoTvm, true, 48, 32, 1},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMethods, CheckpointResume, ::testing::ValuesIn(kResumeCases),
+    [](const ::testing::TestParamInfo<ResumeCase> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST_F(CheckpointDurability, SeededCrashScheduleNeverLosesOlderSnapshot)
 {
@@ -399,40 +469,6 @@ TEST_F(CheckpointDurability, SeededCrashScheduleNeverLosesOlderSnapshot)
                                          space_));
     }
     std::remove(path.c_str());
-}
-
-TEST_F(CheckpointDurability, LegacyTextCheckpointIsStillRead)
-{
-    const std::string journal_path =
-        ::testing::TempDir() + "ft_ckpt_legacy_a.ftc";
-    const std::string legacy_path =
-        ::testing::TempDir() + "ft_ckpt_legacy_b.ftc";
-    std::remove(journal_path.c_str());
-
-    ExploreOptions options;
-    options.trials = 6;
-    options.seed = 0xfade;
-    options.checkpointPath = journal_path;
-    options.checkpointEveryTrials = 3;
-    Evaluator eval(out_.op(), space_, target_);
-    exploreRandom(eval, options);
-
-    // Rewrite the newest snapshot as a legacy (pre-journal) whole-file
-    // text checkpoint; the loader must still understand it.
-    JournalContents journal = parseJournal(readBytes(journal_path));
-    ASSERT_TRUE(journal.valid);
-    ASSERT_FALSE(journal.records.empty());
-    writeBytes(legacy_path, journal.records.back());
-
-    auto from_journal = loadCheckpoint(journal_path);
-    auto from_legacy = loadCheckpoint(legacy_path);
-    ASSERT_TRUE(from_journal.has_value());
-    ASSERT_TRUE(from_legacy.has_value());
-    EXPECT_EQ(from_legacy->trial, from_journal->trial);
-    EXPECT_EQ(from_legacy->history.size(), from_journal->history.size());
-    EXPECT_DOUBLE_EQ(from_legacy->simSeconds, from_journal->simSeconds);
-    std::remove(journal_path.c_str());
-    std::remove(legacy_path.c_str());
 }
 
 // ---------------------------------------------------------------------

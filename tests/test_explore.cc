@@ -186,6 +186,26 @@ TEST(Explore, AutoTvmRunsOnTemplateSpace)
     EXPECT_GT(r.simSeconds, 0.0);
 }
 
+TEST(Explore, AutoTvmMeasuresSeedPointsFirst)
+{
+    // Seed points (the family tuner's bucket-winner cascade) are
+    // measured before the first round, outside the measurement budget,
+    // and join the GBT's training set.
+    Tensor out = tuneGemm();
+    Target target = Target::forGpu(v100());
+    SpaceOptions so;
+    so.templateRestricted = true;
+    ScheduleSpace space = buildSpace(out.op(), target, so);
+    Evaluator eval(out.op(), space, target);
+    ExploreOptions opts;
+    opts.trials = 16;
+    opts.seedPoints = {space.initialPoint()};
+    ExploreResult r = exploreAutoTvm(eval, opts);
+    ASSERT_FALSE(eval.history().empty());
+    EXPECT_EQ(eval.history()[0].point.key(), space.initialPoint().key());
+    EXPECT_EQ(r.trialsUsed, 17);
+}
+
 TEST(Explore, DeterministicForFixedSeed)
 {
     Tensor out = tuneGemm();

@@ -280,103 +280,49 @@ TEST_F(FaultTest, DeadlineDegradesRunWithMonotoneBestSoFar)
     EXPECT_DOUBLE_EQ(result.bestGflops, eval.best());
 }
 
-/** Kill-then-resume must replay to the uninterrupted run, bit for bit. */
-TEST_F(FaultTest, CheckpointResumeIsBitIdenticalForQMethod)
+/** A Q checkpoint whose network has another shape cannot be restored;
+ *  the run must then be exactly the run without a checkpoint, not a
+ *  warm-up drawn from an RNG the restore attempt already advanced. */
+TEST_F(FaultTest, UnrestorableQCheckpointStartsFreshBitIdentical)
 {
-    const std::string path = "/tmp/flextensor_ckpt_test.ftc";
+    const std::string path =
+        ::testing::TempDir() + "ft_ckpt_other_hidden.ftc";
     std::remove(path.c_str());
 
     ExploreOptions options;
     options.trials = 12;
-    options.warmupPoints = 8;
-    options.startingPoints = 2;
-    options.seed = 0xc0ffee;
+    options.seed = 0xabc;
 
-    // Reference: one uninterrupted run.
-    Evaluator ref(out_.op(), space_, target_);
-    ExploreResult uninterrupted = exploreQMethod(ref, options);
+    ExploreOptions writer = options;
+    writer.hidden = 32;
+    writer.checkpointPath = path;
+    writer.checkpointEveryTrials = 3;
+    Evaluator first(out_.op(), space_, target_);
+    exploreQMethod(first, writer);
+    auto written = loadCheckpoint(path);
+    ASSERT_TRUE(written.has_value());
+    ASSERT_TRUE(checkpointCompatible(*written, methodName(Method::QMethod),
+                                     options.seed, space_));
 
-    // "Crashed" run: executes only half the trials, snapshotting every 3.
-    ExploreOptions partial = options;
-    partial.trials = 6;
-    partial.checkpointPath = path;
-    partial.checkpointEveryTrials = 3;
-    Evaluator killed(out_.op(), space_, target_);
-    ExploreResult first_half = exploreQMethod(killed, partial);
-    EXPECT_FALSE(first_half.resumed);
+    Evaluator plain(out_.op(), space_, target_);
+    ExploreResult expect = exploreQMethod(plain, options);
 
-    // Resume from the snapshot and finish the full trial budget.
-    ExploreOptions resume = partial;
-    resume.trials = options.trials;
-    Evaluator second(out_.op(), space_, target_);
-    ExploreResult resumed = exploreQMethod(second, resume);
-    EXPECT_TRUE(resumed.resumed);
-
-    EXPECT_EQ(resumed.bestPoint.key(), uninterrupted.bestPoint.key());
-    EXPECT_DOUBLE_EQ(resumed.bestGflops, uninterrupted.bestGflops);
-    EXPECT_DOUBLE_EQ(resumed.simSeconds, uninterrupted.simSeconds);
-    EXPECT_EQ(resumed.trialsUsed, uninterrupted.trialsUsed);
-    ASSERT_EQ(second.history().size(), ref.history().size());
-    for (size_t i = 0; i < ref.history().size(); ++i) {
-        EXPECT_EQ(second.history()[i].point.key(),
-                  ref.history()[i].point.key());
-        EXPECT_DOUBLE_EQ(second.history()[i].gflops,
-                         ref.history()[i].gflops);
-    }
-    ASSERT_EQ(second.curve().size(), ref.curve().size());
-    for (size_t i = 0; i < ref.curve().size(); ++i) {
-        EXPECT_DOUBLE_EQ(second.curve()[i].first, ref.curve()[i].first);
-        EXPECT_DOUBLE_EQ(second.curve()[i].second, ref.curve()[i].second);
-    }
-    std::remove(path.c_str());
-}
-
-TEST_F(FaultTest, CheckpointResumeIsBitIdenticalUnderFaults)
-{
-    const std::string path = "/tmp/flextensor_ckpt_faulty.ftc";
-    std::remove(path.c_str());
-
-    FaultProfile profile;
-    profile.transient = 0.3;
-    profile.timeout = 0.1;
-    profile.seed = 99;
-    FaultInjector injector(profile);
-
-    ExploreOptions options;
-    options.trials = 10;
-    options.warmupPoints = 6;
-    options.startingPoints = 2;
-    options.seed = 0xfa17;
-    options.resilience.injector = &injector;
-
-    Evaluator ref(out_.op(), space_, target_);
-    ExploreResult uninterrupted = explorePMethod(ref, options);
-
-    ExploreOptions partial = options;
-    partial.trials = 5;
-    partial.checkpointPath = path;
-    partial.checkpointEveryTrials = 5;
-    Evaluator killed(out_.op(), space_, target_);
-    explorePMethod(killed, partial);
-
-    ExploreOptions resume = partial;
-    resume.trials = options.trials;
-    Evaluator second(out_.op(), space_, target_);
-    ExploreResult resumed = explorePMethod(second, resume);
-    EXPECT_TRUE(resumed.resumed);
-
-    EXPECT_EQ(resumed.bestPoint.key(), uninterrupted.bestPoint.key());
-    EXPECT_DOUBLE_EQ(resumed.bestGflops, uninterrupted.bestGflops);
-    EXPECT_DOUBLE_EQ(resumed.simSeconds, uninterrupted.simSeconds);
-    EXPECT_EQ(resumed.failures, uninterrupted.failures);
-    EXPECT_EQ(resumed.timeouts, uninterrupted.timeouts);
-    EXPECT_EQ(resumed.quarantined, uninterrupted.quarantined);
-    ASSERT_EQ(second.history().size(), ref.history().size());
-    for (size_t i = 0; i < ref.history().size(); ++i) {
-        EXPECT_EQ(second.history()[i].point.key(),
-                  ref.history()[i].point.key());
-        EXPECT_DOUBLE_EQ(second.history()[i].gflops,
-                         ref.history()[i].gflops);
+    ExploreOptions reader = options;
+    reader.checkpointPath = path;
+    reader.checkpointEveryTrials = 0;
+    Evaluator eval(out_.op(), space_, target_);
+    ExploreResult got = exploreQMethod(eval, reader);
+    EXPECT_FALSE(got.resumed);
+    EXPECT_EQ(got.bestPoint.key(), expect.bestPoint.key());
+    EXPECT_DOUBLE_EQ(got.bestGflops, expect.bestGflops);
+    EXPECT_DOUBLE_EQ(got.simSeconds, expect.simSeconds);
+    ASSERT_EQ(eval.history().size(), plain.history().size());
+    for (size_t i = 0; i < plain.history().size(); ++i) {
+        EXPECT_EQ(eval.history()[i].point.key(),
+                  plain.history()[i].point.key())
+            << "history position " << i;
+        EXPECT_DOUBLE_EQ(eval.history()[i].gflops,
+                         plain.history()[i].gflops);
     }
     std::remove(path.c_str());
 }
