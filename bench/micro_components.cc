@@ -162,8 +162,9 @@ BM_QNetworkTrainStep(benchmark::State &state)
 }
 BENCHMARK(BM_QNetworkTrainStep);
 
+/** 128 rows x 24 features; `discrete` draws tile-index-like levels. */
 void
-BM_GbtFit(benchmark::State &state)
+gbtFitBench(benchmark::State &state, bool discrete)
 {
     Rng data(7);
     std::vector<std::vector<double>> x;
@@ -171,7 +172,7 @@ BM_GbtFit(benchmark::State &state)
     for (int i = 0; i < 128; ++i) {
         std::vector<double> f(24);
         for (auto &v : f)
-            v = data.uniform();
+            v = discrete ? static_cast<double>(data.below(6)) : data.uniform();
         y.push_back(f[0] * 2 - f[1]);
         x.push_back(std::move(f));
     }
@@ -184,7 +185,50 @@ BM_GbtFit(benchmark::State &state)
         benchmark::DoNotOptimize(model.predict(x[0]));
     }
 }
+
+/** Uniform features: every pivot is a distinct threshold. */
+void
+BM_GbtFit(benchmark::State &state)
+{
+    gbtFitBench(state, false);
+}
 BENCHMARK(BM_GbtFit);
+
+/** Discrete features, as ScheduleSpace emits: pivots repeat. */
+void
+BM_GbtFitDiscrete(benchmark::State &state)
+{
+    gbtFitBench(state, true);
+}
+BENCHMARK(BM_GbtFitDiscrete);
+
+/** The persistent CostModel's refit: a full 512-trial window over ~10
+ *  workload groups, 32 features, 16 rank-objective trees. */
+void
+BM_GbtFitRank(benchmark::State &state)
+{
+    Rng data(9);
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+    std::vector<uint64_t> group;
+    for (int i = 0; i < 512; ++i) {
+        std::vector<double> f(32);
+        for (auto &v : f)
+            v = static_cast<double>(data.below(8));
+        y.push_back(f[0] * f[1] + 0.5 * f[2] + data.uniform());
+        group.push_back(data.below(10));
+        x.push_back(std::move(f));
+    }
+    Rng rng(10);
+    GbtOptions opt;
+    opt.trees = 16;
+    for (auto _ : state) {
+        GbtModel model;
+        model.fitRank(x, y, group, opt, rng);
+        benchmark::DoNotOptimize(model.predict(x[0]));
+    }
+}
+BENCHMARK(BM_GbtFitRank);
 
 void
 BM_StaticAnalysis(benchmark::State &state)

@@ -154,7 +154,7 @@ AutoTvmPolicy::restore(const CheckpointState &state)
         return false;
     const std::string rest{std::istreambuf_iterator<char>(in), {}};
     GbtModel model;
-    if (!model.deserialize(rest))
+    if (!model.deserialize(rest, space_.featureDim()))
         return false;
     measured_ = measured;
     model_ = std::move(model);

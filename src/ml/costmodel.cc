@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "ml/features.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/journal.h"
@@ -100,7 +101,8 @@ CostModel::load()
             continue;
         if (rec[0] == 'm' && rec[1] == ' ') {
             auto model = std::make_shared<GbtModel>();
-            if (model->deserialize(rec.substr(2)) && model->trained())
+            if (model->deserialize(rec.substr(2), kCostFeatureDim) &&
+                model->trained())
                 snapshot = std::move(model); // newest model frame wins
             continue;
         }
@@ -110,8 +112,12 @@ CostModel::load()
         std::string group_tok;
         CostTrial trial;
         size_t n = 0;
+        // One model's trials share a width of at most kCostFeatureDim
+        // (the evaluator's); a record of another width is corrupt, and
+        // fitting over it would trip the GBT's row-width check.
         if (!(iss >> group_tok) || !parseDouble(iss, trial.gflops) ||
-            !(iss >> n)) {
+            !(iss >> n) || n > static_cast<size_t>(kCostFeatureDim) ||
+            (!trials.empty() && n != trials[0].features.size())) {
             continue;
         }
         trial.group = std::strtoull(group_tok.c_str(), nullptr, 16);

@@ -66,9 +66,14 @@ class GbtModel
      */
     std::string serialize() const;
 
-    /** Rebuild from serialize() output; false on malformed input (the
-     *  model is left untrained). */
-    bool deserialize(std::string_view bytes);
+    /**
+     * Rebuild from serialize() output; false on malformed input (the
+     * model is left untrained). Input is untrusted: every split must
+     * name a feature below `featureDim` and point its children forward
+     * (nodes are written in pre-order), so predict() on a
+     * `featureDim`-wide input stays in bounds and terminates.
+     */
+    bool deserialize(std::string_view bytes, int featureDim);
 
   private:
     struct Node
@@ -84,20 +89,18 @@ class GbtModel
         double eval(const std::vector<double> &x) const;
     };
 
+    struct SplitScratch; ///< column-major features + per-node buffers
+
     /** Shared boosting loop over a caller-supplied residual function. */
     void boost(const std::vector<std::vector<double>> &x,
                const std::vector<double> &y,
                const std::vector<uint64_t> *group,
                const GbtOptions &options, Rng &rng);
 
-    Tree buildTree(const std::vector<std::vector<double>> &x,
-                   const std::vector<double> &residual,
-                   const std::vector<int> &rows, const GbtOptions &options,
-                   Rng &rng) const;
-    int buildNode(Tree &tree, const std::vector<std::vector<double>> &x,
-                  const std::vector<double> &residual,
-                  const std::vector<int> &rows, int depth,
-                  const GbtOptions &options, Rng &rng) const;
+    /** Grow the subtree over rows [begin, end) of `scratch.rows`. */
+    int buildNode(Tree &tree, SplitScratch &scratch,
+                  const std::vector<double> &residual, int begin, int end,
+                  int depth, const GbtOptions &options, Rng &rng) const;
 
     double bias_ = 0.0;
     double learningRate_ = 0.3;

@@ -360,14 +360,28 @@ TEST_P(CheckpointResume, KillThenTornResumeIsBitIdentical)
     Evaluator killed(out_.op(), space, target_);
     EXPECT_FALSE(exploreWith(rc.method, killed, partial).resumed);
 
-    // Tear the newest frame mid-payload, as a crash during the final
-    // snapshot append would.
+    // Tear the newest frame, as a crash during the final snapshot
+    // append would, at a seeded byte inside it: FT_CRASH_SEED moves the
+    // tear, so the CI seed sweep covers different ones.
     const std::string bytes = readBytes(path);
     auto full = loadCheckpoint(path);
     ASSERT_TRUE(full.has_value());
     const int newest_trial = full->trial;
-    ASSERT_TRUE(
-        FaultInjector::writeTorn(path, bytes, bytes.size() - 40));
+    // Without its last byte the image parses intact up to the start of
+    // the newest frame.
+    const size_t newest_frame =
+        parseJournal(std::string_view(bytes).substr(0, bytes.size() - 1))
+            .validBytes;
+    ASSERT_GT(newest_frame, 0u);
+    FaultProfile tear;
+    tear.seed = crashSeed(0x7ea4);
+    const size_t tear_at =
+        newest_frame + FaultInjector(tear).crashOffsetFor(
+                           rc.name, bytes.size() - newest_frame);
+    SCOPED_TRACE("crash seed " + std::to_string(tear.seed) + ", torn at " +
+                 std::to_string(tear_at) + " of " +
+                 std::to_string(bytes.size()) + " bytes");
+    ASSERT_TRUE(FaultInjector::writeTorn(path, bytes, tear_at));
     auto recovered = loadCheckpoint(path);
     ASSERT_TRUE(recovered.has_value());
     EXPECT_LT(recovered->trial, newest_trial);

@@ -15,6 +15,7 @@
 #include "ml/gbt.h"
 #include "ops/ops.h"
 #include "space/builder.h"
+#include "support/hash.h"
 #include "support/journal.h"
 #include "support/rng.h"
 
@@ -142,6 +143,19 @@ TEST(Gbt, HandlesEmptyFit)
     EXPECT_FALSE(model.trained());
 }
 
+TEST(Gbt, ShortRowIsRejected)
+{
+    // Every row must be as wide as row 0; a short row used to be read
+    // out of bounds.
+    GbtModel model;
+    Rng rng(17);
+    EXPECT_DEATH(model.fit({{0.0, 1.0}, {2.0}}, {0.0, 1.0}, {}, rng),
+                 "features");
+    EXPECT_DEATH(model.fitRank({{0.0}, {1.0, 2.0}}, {0.0, 1.0}, {0, 0}, {},
+                               rng),
+                 "features");
+}
+
 TEST(Gbt, ConstantFeatureIsNeverSplitOn)
 {
     // Regression test for the zero-variance split-search skip: column 0
@@ -237,7 +251,7 @@ TEST(Gbt, SerializeRoundTripsThroughJournalBitIdentically)
     ASSERT_EQ(contents.records.size(), 1u);
 
     GbtModel restored;
-    ASSERT_TRUE(restored.deserialize(contents.records[0]));
+    ASSERT_TRUE(restored.deserialize(contents.records[0], 2));
     ASSERT_TRUE(restored.trained());
     for (int i = 0; i < 50; ++i) {
         std::vector<double> probe{data.uniform() * 4.0 - 2.0,
@@ -253,7 +267,7 @@ TEST(Gbt, SerializeRoundTripsThroughJournalBitIdentically)
 TEST(Gbt, DeserializeRejectsMalformedInput)
 {
     GbtModel model;
-    EXPECT_FALSE(model.deserialize("not a model"));
+    EXPECT_FALSE(model.deserialize("not a model", 1));
     EXPECT_FALSE(model.trained());
 
     // A truncated but otherwise valid prefix must also fail cleanly.
@@ -262,9 +276,46 @@ TEST(Gbt, DeserializeRejectsMalformedInput)
     trained.fit({{0.0}, {1.0}, {2.0}}, {0.0, 1.0, 2.0}, {}, rng);
     std::string bytes = trained.serialize();
     EXPECT_FALSE(model.deserialize(
-        std::string_view(bytes).substr(0, bytes.size() / 2)));
+        std::string_view(bytes).substr(0, bytes.size() / 2), 1));
     EXPECT_FALSE(model.trained());
     EXPECT_DOUBLE_EQ(model.predict({1.0}), 0.0);
+}
+
+TEST(Gbt, DeserializeRejectsCyclesAndOutOfRangeFeatures)
+{
+    // One split on feature 0 over two leaves, as serialize() writes it.
+    const std::string head = "gbt v1 1 0x0p+0 0x1p-1 1\n";
+    const std::string valid = head + "tree 3\n"
+                                     "0 0x1p+0 0x0p+0 1 2\n"
+                                     "-1 0x0p+0 -0x1p+0 -1 -1\n"
+                                     "-1 0x0p+0 0x1p+0 -1 -1\n";
+    GbtModel model;
+    ASSERT_TRUE(model.deserialize(valid, 1));
+    EXPECT_EQ(model.serialize(), valid);
+    EXPECT_EQ(model.predict({0.5}), -0.5);
+    EXPECT_EQ(model.predict({2.0}), 0.5);
+
+    const std::string bad[] = {
+        // The same split is out of range for a zero-width input.
+        "",
+        // Feature 1000000: predict() would read out of bounds.
+        head + "tree 3\n1000000 0x1p+0 0x0p+0 1 2\n"
+               "-1 0x0p+0 0x0p+0 -1 -1\n-1 0x0p+0 0x0p+0 -1 -1\n",
+        // A self-loop: predict() would never reach a leaf.
+        head + "tree 1\n0 0x1p+0 0x0p+0 0 0\n",
+        // A backward child closes a two-node cycle.
+        head + "tree 2\n0 0x1p+0 0x0p+0 1 1\n0 0x1p+0 0x0p+0 0 0\n",
+        // A tree with no nodes has no root to evaluate.
+        head + "tree 0\n",
+    };
+    for (const std::string &bytes : bad) {
+        GbtModel m;
+        EXPECT_FALSE(bytes.empty() ? m.deserialize(valid, 0)
+                                   : m.deserialize(bytes, 1))
+            << bytes;
+        EXPECT_FALSE(m.trained());
+        EXPECT_EQ(m.predict({0.5}), 0.0);
+    }
 }
 
 TEST(Gbt, FixedSeedTrainingIsDeterministic)
@@ -287,6 +338,71 @@ TEST(Gbt, FixedSeedTrainingIsDeterministic)
     m1.fitRank(x, y, group, {}, r1);
     m2.fitRank(x, y, group, {}, r2);
     EXPECT_EQ(m1.serialize(), m2.serialize());
+}
+
+TEST(Gbt, SplitSearchMatchesPinnedDigest)
+{
+    // Equivalence oracle for the split search: every tree fit() and
+    // fitRank() grow over 200 seeded datasets, folded into one FNV-1a
+    // digest of serialize(). The datasets cover constant features,
+    // heavily duplicated discrete features (ScheduleSpace features are
+    // tile indices), signed zeros, n < 2*minSamplesLeaf, a single row,
+    // equal labels, and thresholdsPerFeature above the number of
+    // distinct values. Any change to a threshold, a gain tie-break or
+    // the RNG stream changes the digest.
+    const int kThresholds[] = {1, 3, 4, 5, 8, 13};
+    const int kRows[] = {1, 2, 3, 5, 9, 24, 60, 130};
+    Fnv1a64 digest;
+    for (int d = 0; d < 200; ++d) {
+        Rng data(0x5eed0000u + d);
+        const int n = kRows[d % 8];
+        const int dims = 1 + static_cast<int>(data.below(6));
+        std::vector<std::vector<double>> x(n, std::vector<double>(dims));
+        for (int f = 0; f < dims; ++f) {
+            const uint64_t kind = data.below(5);
+            const int levels = 2 + static_cast<int>(data.below(4));
+            for (int i = 0; i < n; ++i) {
+                switch (kind) {
+                case 0: x[i][f] = 3.0; break;
+                case 1: x[i][f] = static_cast<double>(data.below(levels)); break;
+                case 2: x[i][f] = data.chance(0.5) ? -0.0 : 0.0; break;
+                case 3:
+                    x[i][f] = data.chance(0.5) ? std::pow(2.0, data.below(4))
+                                               : -1.0;
+                    break;
+                default: x[i][f] = data.uniform(-2.0, 2.0); break;
+                }
+            }
+        }
+        std::vector<double> y(n);
+        std::vector<uint64_t> group(n);
+        for (int i = 0; i < n; ++i) {
+            if (d % 7 == 0) {
+                y[i] = 1.5; // equal labels
+            } else {
+                double s = 0.0;
+                for (int f = 0; f < dims; ++f)
+                    s += (f + 1) * x[i][f];
+                // Coarse labels in half the datasets: tied pairs and
+                // tied residuals, not just tied features.
+                y[i] = d % 2 ? std::floor(s) : s + data.normal(0.0, 0.1);
+            }
+            group[i] = data.below(3);
+        }
+        GbtOptions opt;
+        opt.trees = 1 + static_cast<int>(data.below(6));
+        opt.maxDepth = 1 + static_cast<int>(data.below(5));
+        opt.minSamplesLeaf = 1 + static_cast<int>(data.below(4));
+        opt.thresholdsPerFeature = kThresholds[data.below(6)];
+        GbtModel reg, rank;
+        Rng r1(d), r2(d + 1000);
+        reg.fit(x, y, opt, r1);
+        rank.fitRank(x, y, group, opt, r2);
+        // The RNG position after fitting pins the pivot draw count too.
+        digest.str(reg.serialize()).str(rank.serialize());
+        digest.u64(r1.next()).u64(r2.next());
+    }
+    EXPECT_EQ(digest.value(), 0x078032a85ff70f4aull) << std::hex << digest.value();
 }
 
 TEST(CostFeatures, FixedDimDeterministicAndFinite)
@@ -377,6 +493,35 @@ TEST(CostModel, PersistsAndReloadsBitIdentically)
     EXPECT_EQ(reloaded.numTrials(), 32u);
     for (size_t i = 0; i < probes.size(); ++i)
         EXPECT_EQ(reloaded.predict(probes[i]), before[i]);
+    std::remove(path.c_str());
+}
+
+TEST(CostModel, LoadSkipsTrialsOfAnotherWidth)
+{
+    // A corrupt trial record must not reach the fit: a second width
+    // would trip the GBT's row-width check, and a huge count would be
+    // allocated before any feature is parsed.
+    const std::string path = ::testing::TempDir() + "ft_costmodel_width.j";
+    std::remove(path.c_str());
+    {
+        CostModelOptions options;
+        options.persistPath = path;
+        CostModel model(options);
+        for (int i = 0; i < 8; ++i)
+            model.recordTrial({0.1 * i, 1.0}, i, 3);
+    }
+    ASSERT_TRUE(journalAppend(path, kCostModelJournalKind,
+                              "t 3 0x1p+0 3 0x1p+0 0x1p+0 0x1p+0"));
+    ASSERT_TRUE(journalAppend(path, kCostModelJournalKind,
+                              "t 3 0x1p+0 1000000000000 0x1p+0"));
+
+    CostModelOptions options;
+    options.persistPath = path;
+    CostModel reloaded(options);
+    ASSERT_TRUE(reloaded.load());
+    EXPECT_EQ(reloaded.numTrials(), 8u);
+    reloaded.refitNow();
+    EXPECT_TRUE(reloaded.ready());
     std::remove(path.c_str());
 }
 
