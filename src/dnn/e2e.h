@@ -2,10 +2,13 @@
  * @file
  * End-to-end network scheduling (Section 6.6 and Algorithm 1).
  *
- * Every fused operator is tuned bottom-up with the chosen exploration
- * method; unschedulable data-movement layers (pooling) are charged their
- * bandwidth cost; fused elementwise epilogues are free, while the unfused
- * ablation pays one memory round trip per epilogue op.
+ * `scheduleNetwork` is a thin adapter over graph-level tuning: it builds
+ * the network's ComputeDag (`graph::dagFromNetwork`), picks the
+ * partition the FuseMode names, and runs `graph::tuneDag`. Every group's
+ * anchor is tuned bottom-up with the chosen exploration method;
+ * anchor-free groups (pooling, and bias/ReLU when unfused) are charged
+ * their roofline cost, so fused epilogues are free while the unfused
+ * ablation pays a memory round trip and a launch per epilogue op.
  */
 #ifndef FLEXTENSOR_DNN_E2E_H
 #define FLEXTENSOR_DNN_E2E_H
@@ -15,20 +18,20 @@
 
 namespace ft {
 
-/** Per-layer outcome of end-to-end scheduling. */
+/** Per-group outcome of end-to-end scheduling. */
 struct LayerReport
 {
-    std::string name;
+    std::string name; ///< anchor (layer) name, or the group's first node
     double seconds = 0.0;
     double gflops = 0.0;
-    bool tuned = false; ///< false for bandwidth-bound layers
+    bool tuned = false; ///< false for bandwidth-bound (anchor-free) groups
 };
 
 /** How aggressively the network is partitioned before tuning. */
 enum class FuseMode
 {
-    None,     ///< every op is its own group (epilogues pay round trips)
-    Epilogue, ///< legacy: elementwise epilogues sink into their producer
+    None,     ///< every DAG node is its own group (epilogues round-trip)
+    Epilogue, ///< bias/ReLU sink into their anchor: one group per layer
     Graph,    ///< graph-level: roofline-guided beam partition (src/graph)
 };
 
@@ -60,7 +63,6 @@ struct E2eOptions
     Method method = Method::QMethod;
     ExploreOptions explore;
     FuseMode fuse = FuseMode::Epilogue;
-    bool fuseElementwise = true; ///< ablation: pay epilogue round trips
     /**
      * Optional tuning cache shared across layers. Networks repeat layer
      * shapes (YOLO-v1's block 4 contains four identical conv pairs), so
@@ -69,7 +71,7 @@ struct E2eOptions
     TuningCache *cache = nullptr;
 };
 
-/** Tune every layer of a network and accumulate predicted runtime. */
+/** Tune every fusion group of a network and sum the predicted runtime. */
 NetworkReport scheduleNetwork(const Network &net, const Target &target,
                               const E2eOptions &options = {});
 

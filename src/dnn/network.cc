@@ -1,6 +1,5 @@
 #include "dnn/network.h"
 
-#include "ops/ops.h"
 #include "support/logging.h"
 
 namespace ft {
@@ -36,77 +35,13 @@ layerShapes(const Network &net)
             cur = {cur[0], cur[1], oh, ow};
             break;
           }
-          case LayerSpec::Kind::Dense: {
-            int64_t features = cur.size() == 4 ? cur[1] * cur[2] * cur[3]
-                                               : cur[1];
+          case LayerSpec::Kind::Dense:
             cur = {cur[0], l.units};
-            (void)features;
             break;
-          }
         }
         shapes.push_back(cur);
     }
     return shapes;
-}
-
-std::vector<FusedOp>
-partitionAndFuse(const Network &net)
-{
-    std::vector<FusedOp> out;
-    std::vector<int64_t> cur = net.inputShape;
-    FT_ASSERT(cur.size() == 4, "network input must be NCHW");
-
-    for (const auto &l : net.layers) {
-        switch (l.kind) {
-          case LayerSpec::Kind::Conv: {
-            Tensor input = placeholder(l.name + ".in", cur);
-            Tensor weight = placeholder(
-                l.name + ".w", {l.outChannels, cur[1], l.kernel, l.kernel});
-            ops::ConvParams p;
-            p.stride = l.stride;
-            p.padding = l.padding;
-            Tensor conv = ops::conv2d(input, weight, p);
-
-            FusedOp fused;
-            fused.name = l.name;
-            fused.output = conv;
-            fused.fusedElementwise = (l.bias ? 1 : 0) + (l.relu ? 1 : 0);
-            fused.outputBytes = conv.numel() * 4;
-            out.push_back(std::move(fused));
-            cur = conv.shape();
-            break;
-          }
-          case LayerSpec::Kind::MaxPool: {
-            Tensor input = placeholder(l.name + ".in", cur);
-            Tensor pooled = ops::maxPool2d(input, l.kernel, l.stride);
-            FusedOp fused;
-            fused.name = l.name;
-            fused.output = pooled;
-            fused.outputBytes = pooled.numel() * 4;
-            fused.schedulable = false; // bandwidth-bound data movement
-            out.push_back(std::move(fused));
-            cur = pooled.shape();
-            break;
-          }
-          case LayerSpec::Kind::Dense: {
-            int64_t features = cur.size() == 4 ? cur[1] * cur[2] * cur[3]
-                                               : cur[1];
-            Tensor input = placeholder(l.name + ".in", {cur[0], features});
-            Tensor weight =
-                placeholder(l.name + ".w", {l.units, features});
-            Tensor dense = ops::dense(input, weight);
-            FusedOp fused;
-            fused.name = l.name;
-            fused.output = dense;
-            fused.fusedElementwise = (l.bias ? 1 : 0) + (l.relu ? 1 : 0);
-            fused.outputBytes = dense.numel() * 4;
-            out.push_back(std::move(fused));
-            cur = {cur[0], l.units};
-            break;
-          }
-        }
-    }
-    return out;
 }
 
 } // namespace ft

@@ -5,8 +5,10 @@
  * FlexTensor handles full DNNs by partitioning them into sub-graphs and
  * fusing elementwise epilogues (bias, ReLU) into the producing operator;
  * the fused operators are then scheduled one by one in bottom-up order
- * (Algorithm 1). This module provides the layer-graph representation and
- * the fusion pass; dnn/models.cc defines YOLO-v1 and OverFeat.
+ * (Algorithm 1). This module provides the sequential layer-list
+ * representation; dnn/models.cc defines YOLO-v1 and OverFeat, and
+ * graph/dag.h expands a Network into the ComputeDag that partitioning
+ * and tuning run on (dnn/e2e.h).
  */
 #ifndef FLEXTENSOR_DNN_NETWORK_H
 #define FLEXTENSOR_DNN_NETWORK_H
@@ -14,8 +16,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "ir/operation.h"
 
 namespace ft {
 
@@ -51,25 +51,6 @@ struct Network
     /** Number of convolution layers. */
     int numConvLayers() const;
 };
-
-/**
- * A fused schedulable unit after sub-graph partitioning: one anchor
- * operator (conv or dense) with its fused elementwise epilogue ops.
- */
-struct FusedOp
-{
-    std::string name;
-    Tensor output;       ///< graph rooted at the anchor (pre-epilogue)
-    int fusedElementwise = 0; ///< epilogue ops folded into the kernel
-    int64_t outputBytes = 0;  ///< for the unfused-roundtrip ablation
-    bool schedulable = true;  ///< false for pure-memory ops (pooling)
-};
-
-/**
- * Partition a network into fused operators: each conv/dense layer absorbs
- * its bias/ReLU epilogue; pooling layers become unschedulable memory ops.
- */
-std::vector<FusedOp> partitionAndFuse(const Network &net);
 
 /** Output shape of the network layer by layer (sanity checking). */
 std::vector<std::vector<int64_t>> layerShapes(const Network &net);

@@ -119,9 +119,10 @@ struct ComputeDag
 /**
  * Expand a sequential Network into the general DAG form: conv/dense
  * layers become anchor nodes with explicit weight/bias Input nodes and
- * explicit Bias/Relu epilogue nodes; pooling becomes a Pool node. The
- * result is exactly the chain the legacy per-layer path schedules, now
- * in a form the fusion partitioner can regroup.
+ * explicit Bias/Relu epilogue nodes; pooling becomes a Pool node.
+ * Anchor and Pool nodes carry their layer's name, so `epiloguePartition`
+ * yields one group per layer, named after it. This is the form
+ * `scheduleNetwork` partitions and tunes.
  */
 ComputeDag dagFromNetwork(const Network &net);
 

@@ -20,10 +20,11 @@
  * compute-bound ties break toward less traffic and the search never
  * depends on container iteration order.
  *
- * `epiloguePartition` reconstructs the legacy bias/ReLU-into-anchor
- * grouping of dnn/network.h and `nonePartition` the fully unfused one;
- * all three run through the same `finalizePartition` accounting, so
- * traffic comparisons between modes compare like with like.
+ * `epiloguePartition` is the paper's bias/ReLU-into-anchor grouping (one
+ * group per network layer) and `nonePartition` the fully unfused one;
+ * all three run through the same `finalizePartition` accounting and are
+ * tuned by the same `tuneDag`, so comparisons between modes compare
+ * like with like.
  */
 #ifndef FLEXTENSOR_GRAPH_PARTITION_H
 #define FLEXTENSOR_GRAPH_PARTITION_H
@@ -94,7 +95,7 @@ Partition finalizePartition(const ComputeDag &dag,
 Partition partitionDag(const ComputeDag &dag, const Target &target,
                        const PartitionOptions &options = {});
 
-/** Legacy grouping: bias/ReLU sink into their anchor, nothing else. */
+/** Epilogue grouping: bias/ReLU sink into their anchor, nothing else. */
 Partition epiloguePartition(const ComputeDag &dag, const Target &target);
 
 /** Fully unfused: every compute node is its own group. */

@@ -1,6 +1,7 @@
 #include "graph/schedule_dag.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "graph/lower.h"
 #include "obs/metrics.h"
@@ -10,9 +11,17 @@
 namespace ft {
 namespace graph {
 
+namespace {
+
+/**
+ * The one graph-tuning loop behind both `tuneDag` overloads:
+ * `makePartition` runs inside the `graph.partition` span, then every
+ * group is tuned and stitched.
+ */
+template <typename MakePartition>
 DagTuneReport
-tuneDag(const ComputeDag &dag, const Target &target,
-        const TuneOptions &options, const PartitionOptions &partitionOptions)
+tunePartitioned(const ComputeDag &dag, const Target &target,
+                const TuneOptions &options, MakePartition &&makePartition)
 {
     const ObsContext &obs = options.explore.obs;
     DagTuneReport rep;
@@ -29,7 +38,7 @@ tuneDag(const ComputeDag &dag, const Target &target,
              tint("fingerprint", static_cast<int64_t>(rep.fingerprint))});
         obs.trace->begin("graph.partition", 0.0);
     }
-    rep.partition = partitionDag(dag, target, partitionOptions);
+    rep.partition = makePartition();
     rep.trafficBytes = rep.partition.totalTrafficBytes;
     rep.ephemeralBytes = rep.partition.ephemeralBytes;
     if (obs.trace) {
@@ -108,6 +117,25 @@ tuneDag(const ComputeDag &dag, const Target &target,
            rep.partition.groups.size(), " groups, ",
            rep.ephemeralBytes, " ephemeral bytes");
     return rep;
+}
+
+} // namespace
+
+DagTuneReport
+tuneDag(const ComputeDag &dag, const Target &target,
+        const TuneOptions &options, const PartitionOptions &partitionOptions)
+{
+    return tunePartitioned(dag, target, options, [&] {
+        return partitionDag(dag, target, partitionOptions);
+    });
+}
+
+DagTuneReport
+tuneDag(const ComputeDag &dag, Partition partition, const Target &target,
+        const TuneOptions &options)
+{
+    return tunePartitioned(dag, target, options,
+                           [&] { return std::move(partition); });
 }
 
 } // namespace graph

@@ -3,18 +3,20 @@
  * Graph-level tuning: partition the DAG, tune each subgraph's anchor
  * through the existing explorers, and stitch the results.
  *
- * `tuneDag` is Algorithm 1 lifted one level: instead of scheduling a
- * fixed per-layer decomposition, it first runs the fusion partitioner
- * (beam search over the roofline model), then lowers each group's heavy
- * anchor to the same IR the per-layer path tunes — same space, same
- * explorers, same tuning-cache key — and charges each group
- * max(tuned compute, roofline memory). Anchor-free groups (standalone
- * pooling) are bandwidth-bound and take their roofline seconds directly.
+ * `tuneDag` is Algorithm 1 lifted one level: it partitions the DAG
+ * (the roofline-guided beam search, or a partition the caller already
+ * chose, e.g. `epiloguePartition`/`nonePartition`), then lowers each
+ * group's heavy anchor to IR (graph/lower.h) — one space, one set of
+ * explorers, one tuning-cache key per anchor shape — and charges each
+ * group max(tuned compute, roofline memory). Anchor-free groups
+ * (standalone pooling, unfused bias/ReLU) are bandwidth-bound and take
+ * their roofline seconds, launch cost included, directly.
  *
  * Tracing: a `graph_run` meta line, one `graph.partition` span around
- * the search, and one `graph.subgraph` span per group (the per-anchor
- * `run`/`space_build`/`report` events nest inside as usual), so
- * `trace-report` can fold graph runs like any other.
+ * the search (or around adopting the given partition), and one
+ * `graph.subgraph` span per group (the per-anchor `run`/`space_build`/
+ * `report` events nest inside as usual), so `trace-report` can fold
+ * graph runs like any other.
  */
 #ifndef FLEXTENSOR_GRAPH_SCHEDULE_DAG_H
 #define FLEXTENSOR_GRAPH_SCHEDULE_DAG_H
@@ -66,6 +68,10 @@ struct DagTuneReport
 DagTuneReport tuneDag(const ComputeDag &dag, const Target &target,
                       const TuneOptions &options = {},
                       const PartitionOptions &partitionOptions = {});
+
+/** Tune every group of the given `partition` of `dag` for `target`. */
+DagTuneReport tuneDag(const ComputeDag &dag, Partition partition,
+                      const Target &target, const TuneOptions &options = {});
 
 } // namespace graph
 } // namespace ft

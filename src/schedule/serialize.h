@@ -52,7 +52,8 @@ struct TuningRecord
  * journal (support/journal.h) via a temp file plus atomic rename, so a
  * crashed or interrupted writer can never leave a truncated cache
  * behind, and load() recovers every intact record before a torn tail.
- * Legacy v2 (count-footer) and v1 (headerless) files are still read.
+ * A file that is not a cache journal loads as an empty cache (with a
+ * warning).
  */
 class TuningCache
 {

@@ -27,6 +27,10 @@
  * answered from caches only (brownout), or refused with a structured
  * reason, and the outcome rides on the answer (ServeStatus). The
  * default AdmissionOptions never refuse; bounded policies are opt-in.
+ * tuneDag() and tuneFamily() bypass admission: they take no
+ * RequestOptions, are never shed or browned out, and return their
+ * reports without a ServeStatus; identical concurrent requests still
+ * coalesce (DESIGN.md, "Ungated service entry points").
  *
  * Per-service counters expose the request mix for monitoring.
  */

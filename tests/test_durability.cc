@@ -620,14 +620,15 @@ TEST(DispatchDurability, SaveLoadRoundTripIsByteExact)
     std::remove(path.c_str());
 }
 
-TEST(DispatchDurability, LegacyBareTextFileIsStillRead)
+TEST(DispatchDurability, BareTextFileIsRefused)
 {
-    const std::string path = ::testing::TempDir() + "ft_dispatch_legacy.j";
+    // serialize() text without a journal header is not a dispatch table
+    // file, even though its body would parse.
+    const std::string path = ::testing::TempDir() + "ft_dispatch_bare.j";
     DispatchTable table = smallTable();
     writeBytes(path, table.serialize());
-    auto loaded = DispatchTable::loadFromFile(path);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->serialize(), table.serialize());
+    ASSERT_TRUE(DispatchTable::deserialize(table.serialize()).has_value());
+    EXPECT_FALSE(DispatchTable::loadFromFile(path).has_value());
     std::remove(path.c_str());
 }
 

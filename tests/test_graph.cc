@@ -212,8 +212,8 @@ TEST(GraphDagTest, EpiloguePartitionMatchesLegacyGrouping)
     const ComputeDag dag = dagFromNetwork(net);
     const Target target = Target::forGpu(v100());
     Partition epi = epiloguePartition(dag, target);
-    // One group per legacy fused op (conv+epilogue, pool, dense+epilogue).
-    EXPECT_EQ(epi.groups.size(), partitionAndFuse(net).size());
+    // One group per network layer (conv+epilogue, pool, dense+epilogue).
+    EXPECT_EQ(epi.groups.size(), net.layers.size());
     std::string why;
     EXPECT_TRUE(checkPartition(dag, epi, target, &why)) << why;
 }
@@ -496,6 +496,48 @@ TEST(GraphScheduleTest, TuneDagStitchesGroupsAndAccountsTraffic)
     EXPECT_EQ(partitionSpans, 1);
     EXPECT_EQ(subgraphSpans,
               static_cast<int>(rep.partition.groups.size()));
+}
+
+TEST(GraphScheduleTest, GivenPartitionTunesLikeTheSearchedOne)
+{
+    // Handing tuneDag the partition its own search picks yields the same
+    // report and the same sequence of trace events: the search is the
+    // only difference between the two overloads.
+    const ComputeDag dag = chainDag();
+    const Target target = Target::forGpu(v100());
+    TuneOptions options;
+    options.method = Method::Random;
+    options.explore.trials = 4;
+    options.explore.warmupPoints = 2;
+    options.explore.seed = 0x6eed;
+
+    TraceRecorder searchedTrace, givenTrace;
+    options.explore.obs.trace = &searchedTrace;
+    const DagTuneReport searched = tuneDag(dag, target, options);
+    options.explore.obs.trace = &givenTrace;
+    const DagTuneReport given =
+        tuneDag(dag, partitionDag(dag, target), target, options);
+
+    EXPECT_EQ(given.totalSeconds, searched.totalSeconds);
+    EXPECT_EQ(given.simExploreSeconds, searched.simExploreSeconds);
+    EXPECT_EQ(given.trafficBytes, searched.trafficBytes);
+    EXPECT_EQ(given.ephemeralBytes, searched.ephemeralBytes);
+    ASSERT_EQ(given.groups.size(), searched.groups.size());
+    for (size_t g = 0; g < given.groups.size(); ++g) {
+        EXPECT_EQ(given.groups[g].members, searched.groups[g].members);
+        EXPECT_EQ(given.groups[g].seconds, searched.groups[g].seconds);
+    }
+
+    const std::vector<std::string> searchedLines = searchedTrace.lines();
+    const std::vector<std::string> givenLines = givenTrace.lines();
+    ASSERT_EQ(givenLines.size(), searchedLines.size());
+    for (size_t i = 0; i < givenLines.size(); ++i) {
+        auto a = parseTraceLine(givenLines[i]);
+        auto b = parseTraceLine(searchedLines[i]);
+        ASSERT_TRUE(a.has_value() && b.has_value()) << givenLines[i];
+        EXPECT_EQ(a->type, b->type) << givenLines[i];
+        EXPECT_EQ(a->name, b->name) << givenLines[i];
+    }
 }
 
 } // namespace

@@ -11,6 +11,7 @@
 #include "ops/ops.h"
 #include "schedule/serialize.h"
 #include "sim/library_model.h"
+#include "support/journal.h"
 #include "support/rng.h"
 
 namespace ft {
@@ -126,21 +127,32 @@ TEST(TuningCache, LoadMissingFileFails)
 
 TEST(TuningCache, SkipsMalformedLines)
 {
-    const std::string path = "/tmp/flextensor_cache_bad.txt";
-    {
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        ASSERT_NE(f, nullptr);
-        std::fputs("garbage line without tabs\n", f);
-        std::fputs("key\tnot_a_number\tv1|s=|r=\n", f);
-        std::fputs("good\t3.5\tv1|s=2,2|r=4|reorder=1|fuse=1|unroll=0|"
-                   "vec=8|rows=1|part=1\n",
-                   f);
-        std::fclose(f);
-    }
+    // Intact frames whose payloads do not parse are skipped one by one;
+    // the good record beside them is kept.
+    const std::string path = "/tmp/flextensor_cache_bad.j";
+    const std::string good =
+        "good\t3.5\tv1|s=2,2|r=4|reorder=1|fuse=1|unroll=0|vec=8|rows=1|"
+        "part=1";
+    JournalWriter writer("tcache");
+    writer.append("garbage line without tabs");
+    writer.append("key\tnot_a_number\tv1|s=|r=");
+    writer.append(good);
+    ASSERT_TRUE(writer.commit(path));
     TuningCache cache;
     ASSERT_TRUE(cache.load(path));
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_TRUE(cache.lookup("good").has_value());
+
+    // A bare-text file (no journal header) loads as an empty cache.
+    {
+        std::FILE *f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        std::fputs((good + "\n").c_str(), f);
+        std::fclose(f);
+    }
+    TuningCache bare;
+    ASSERT_TRUE(bare.load(path));
+    EXPECT_EQ(bare.size(), 0u);
     std::remove(path.c_str());
 }
 
